@@ -23,7 +23,7 @@ from .errors import (
     NotDivisible,
     ZeroPolynomial,
 )
-from .rings import ZZ, Coeff, CoeffRing, join, promote_value
+from .rings import ZZ, CoeffRing, join, promote_value
 
 Exponents = tuple[int, int, int, int]
 
@@ -141,12 +141,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def coefficient(self, exps) -> Coeff:
-        value = self._terms.get(tuple(exps))
-        if value is None:
-            value = 0
-        return Coeff(self.ring, value)
 
     def has_negative_exponents(self) -> bool:
         return any(e < 0 for exps in self._terms for e in exps)
@@ -280,27 +274,6 @@ def substitute(p: LaurentPoly, images) -> LaurentPoly:
     tis = tuple(embed(q, ring)._terms for q in images)
     terms = K.substitute_terms(tp, tis, ring.ops(), current_max_terms())
     return LaurentPoly(ring, terms)
-
-
-def poly_arith(op: str, p: LaurentPoly, q=None) -> LaurentPoly:
-    """String-dispatch arithmetic: op in {add, sub, mul, neg, pow}.
-
-    Mirror of the operator overloads for callers driving the engine
-    generically (the CLI verification suites use it).
-    """
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    if op == "neg":
-        return -p
-    if op == "pow":
-        if not isinstance(q, int):
-            raise ValueError("pow needs an integer exponent")
-        return p ** q
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def parity_exponent(params: Params, middle: int) -> int:

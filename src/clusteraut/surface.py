@@ -463,4 +463,3 @@ def endo_from_json(src: str, verify: bool = True) -> EndoMap:
     except ValueError as exc:
         raise _obj_error(f"invalid JSON ({exc})") from None
     return endo_from_obj(obj, verify=verify)
-    raise FactorizationFailed(f"descent exceeded {max_word} steps")

@@ -1,12 +1,16 @@
 """Sparse Laurent polynomials: arithmetic axioms, division, substitution,
-and agreement between the active kernel and the pure-Python one."""
+the packed monomial keys, and agreement between the kernel and a plain
+tuple-key reference."""
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clusteraut import _kernel as K
-from clusteraut import _kernel_py as PY
+from clusteraut.budget import WORK_FACTOR
 from clusteraut.errors import (
+    BudgetExceeded,
     DivisionByZero,
     NegativeExponent,
     NegativePower,
@@ -120,6 +124,13 @@ def test_exact_div_edge_cases():
     three = LaurentPoly.const(3)
     with pytest.raises(NotDivisible):
         exact_div(p, three, params)
+    # (y1^n - y2^n) / (y1 - y2): every leading term after the first is a
+    # monomial that the dividend does not have
+    d = LaurentPoly.from_terms(ZZ, {(1, 0, 0, 0): 1, (0, 1, 0, 0): -1})
+    for n in range(2, 7):
+        p = LaurentPoly.from_terms(ZZ, {(n, 0, 0, 0): 1, (0, n, 0, 0): -1})
+        want = LaurentPoly.from_terms(ZZ, {(i, n - 1 - i, 0, 0): 1 for i in range(n)})
+        assert exact_div(p, d, params) == want
 
 
 def test_substitution_matches_integer_evaluation():
@@ -194,38 +205,168 @@ def test_mixed_ring_arithmetic_promotes():
     assert embed(p, r2).term_map() == {(1, 0, 0, 0): (1, 0)}
 
 
+# -- reference kernels --------------------------------------------------------
+# Tuple-key product and leading-term division that rescans the remainder, with
+# the kernel's budget rules; the kernel must agree with them term for term and
+# refuse in the same call.
+
+
+class ZZ_OPS:
+    """Integer arithmetic in the shape of a surrogate ring's ops."""
+
+    mul = staticmethod(lambda x, y: x * y)
+    add = staticmethod(lambda x, y: x + y)
+    is_zero = staticmethod(lambda x: x == 0)
+
+
+def ref_mul(ta, tb, ops=None, max_terms=0):
+    if ops is None:
+        ops = ZZ_OPS
+    if len(ta) == 1 or len(tb) == 1:
+        max_terms = 0  # the kernel scales by a single term without checks
+    elif max_terms and len(ta) * len(tb) > max_terms * WORK_FACTOR:
+        raise BudgetExceeded("work")
+    out = {}
+    for ea, va in ta.items():
+        for eb, vb in tb.items():
+            k = tuple(x + y for x, y in zip(ea, eb))
+            s = ops.mul(va, vb)
+            if k in out:
+                s = ops.add(out.pop(k), s)
+            if not ops.is_zero(s):
+                out[k] = s
+    if max_terms and len(out) > max_terms:
+        raise BudgetExceeded("terms")
+    return out
+
+
+def ref_pow(ta, k, ops=None, max_terms=0):
+    result = {(0, 0, 0, 0): 1 if ops is None else ops.one}
+    base = dict(ta)
+    while k:
+        if k & 1:
+            result = ref_mul(result, base, ops, max_terms)
+        k >>= 1
+        if k:
+            base = ref_mul(base, base, ops, max_terms)
+    return result
+
+
+def ref_div(tp, td, weights, max_terms=0):
+    def key(e):
+        return K.order_key(e, weights)
+
+    if not tp:
+        return {}
+    lead_d = max(td, key=key)
+    q_lo = [min(e[i] for e in tp) - min(e[i] for e in td) for i in range(4)]
+    q_hi = [max(e[i] for e in tp) - max(e[i] for e in td) for i in range(4)]
+    r, q, work = dict(tp), {}, 0
+    work_cap = max_terms * WORK_FACTOR
+    while r:
+        lead_r = max(r, key=key)
+        t = tuple(x - y for x, y in zip(lead_r, lead_d))
+        if key(t) < key(tuple(q_lo)) or not all(
+            lo <= e <= hi for e, lo, hi in zip(t, q_lo, q_hi)
+        ):
+            raise NotDivisible("order floor or box")
+        c, rem = divmod(r[lead_r], td[lead_d])
+        if rem:
+            raise NotDivisible("coefficient")
+        q[t] = c
+        for e, v in td.items():
+            k = tuple(x + y for x, y in zip(e, t))
+            s = r.get(k, 0) - c * v
+            if s:
+                r[k] = s
+            else:
+                r.pop(k, None)
+        work += len(td)
+        if max_terms and (len(q) > max_terms or len(r) > max_terms or work > work_cap):
+            raise BudgetExceeded("division")
+    return q
+
+
+def outcome(fn, *args):
+    """The result, or the class of the engine error the call raised."""
+    try:
+        return fn(*args)
+    except (BudgetExceeded, NotDivisible) as exc:
+        return type(exc)
+
+
 def test_kernels_agree_on_random_inputs():
-    """The active kernel and the pure-Python reference must agree exactly."""
+    """Products, powers and divisions match the reference, and a tight budget
+    or a non-multiple is refused by the same call."""
     rng = random.Random(2024)
     r3 = root_surrogate(3)
-    for trial in range(200):
+    refusals = {("pow", BudgetExceeded): 0, ("div", BudgetExceeded): 0, ("div", NotDivisible): 0}
+    packed_pows = 0
+    for trial in range(300):
         ring = r3 if trial % 3 == 0 else ZZ
         ops = ring.ops()
-        p = random_poly(rng, ring, n_terms=5, span=3)
-        q = random_poly(rng, ring, n_terms=5, span=3)
-        ta, tb = p.term_map(), q.term_map()
-        assert K.add_terms(ta, tb, ops) == PY.add_terms(ta, tb, ops)
-        assert K.sub_terms(ta, tb, ops) == PY.sub_terms(ta, tb, ops)
-        assert K.mul_terms(ta, tb, ops, 10**6) == PY.mul_terms(ta, tb, ops, 10**6)
-        assert K.pow_terms(ta, 3, ops, 10**6) == PY.pow_terms(ta, 3, ops, 10**6)
-        a, b = rng.randrange(1, 5), rng.randrange(1, 5)
-        pos = {
-            tuple(abs(e) for e in exps): c for exps, c in ta.items()
-        }
-        got = K.normal_form_terms(dict(pos), a, b, ops, 10**6)
-        want = PY.normal_form_terms(dict(pos), a, b, ops, 10**6)
-        assert got == want
+        cap = rng.choice([0, 4, 12, 40, 10**6])
+        ta = random_poly(rng, ring, n_terms=rng.choice([5, 20]), span=3).term_map()
+        tb = random_poly(rng, ring, n_terms=5, span=3).term_map()
+        assert outcome(K.mul_terms, ta, tb, ops, cap) == outcome(ref_mul, ta, tb, ops, cap)
+        k = rng.randrange(0, 5)
+        got = outcome(K.pow_terms, ta, k, ops, cap)
+        assert got == outcome(ref_pow, ta, k, ops, cap)
+        refusals["pow", BudgetExceeded] += got is BudgetExceeded
+        packed_pows += ops is None and k > 1
+        if ops is not None or not tb:
+            continue
+        weights = (rng.randrange(1, 5), 1, 1, rng.randrange(1, 5))
+        prod = ref_mul(ta, tb)
+        if trial % 2:  # q*d + one more term is not a multiple of d when d is no unit
+            prod = K.add_terms(prod, random_poly(rng, ZZ, n_terms=1, span=4).term_map())
+        want = outcome(ref_div, prod, tb, weights, cap)
+        assert outcome(K.exact_div_terms, prod, tb, weights, cap) == want
+        if isinstance(want, dict):
+            assert trial % 2 or want == ta
+        else:
+            refusals["div", want] += 1
+    assert min(refusals.values()) >= 10 and packed_pows >= 10
 
 
 def test_kernels_agree_outside_packed_range():
-    """Exponents beyond the packed-key field range take the fallback path in
-    the compiled kernel; results must not change."""
-    huge = 40_000
+    """Exponents far past any fixed field width (here 2^50) need no fallback:
+    the packing width is chosen per call."""
+    huge = 1 << 50
+    assert K.pow_terms({(1, 0, 0, 0): 1}, huge) == {(huge, 0, 0, 0): 1}
     ta = {(huge, 0, 0, 0): 3, (0, -huge, 0, 0): 2}
     tb = {(huge, 1, 0, 0): 5, (0, 0, 0, 0): 1}
-    assert K.mul_terms(ta, tb, None, 10**6) == PY.mul_terms(ta, tb, None, 10**6)
-    q = {(huge, 0, 0, 0): 1, (0, 0, 0, 0): 7}
-    d = {(huge, 0, 0, 0): 2, (0, 1, 0, 0): 1}
-    prod = PY.mul_terms(q, d, None, 10**6)
+    assert K.mul_terms(ta, tb, None, 10**6) == ref_mul(ta, tb)
+    assert K.pow_terms(ta, 3, None, 10**6) == ref_pow(ta, 3)
+    wide = {(huge * i, -huge * j, i, j): i + j + 1 for i in range(4) for j in range(5)}
+    assert K.pow_terms(wide, 3, None, 10**6) == ref_pow(wide, 3)
     weights = Params(2, 2).weights
-    assert K.exact_div_terms(prod, d, weights, 10**6) == q
+    y1_huge = {(huge, 0, 0, 0): 1}
+    assert K.exact_div_terms(y1_huge, {(1, 0, 0, 0): 1}, weights) == {(huge - 1, 0, 0, 0): 1}
+    q = {(huge, 0, 0, 0): 1, (0, 0, 0, -huge): 7}
+    d = {(huge, 0, 0, 0): 2, (0, 1, 0, 0): 1}
+    prod = ref_mul(q, d)
+    assert K.exact_div_terms(prod, d, weights, 10**6) == q == ref_div(prod, d, weights)
+    with pytest.raises(NotDivisible):
+        K.exact_div_terms(K.add_terms(prod, {(0, 0, 0, 0): 1}), d, weights, 10**6)
+    # quotient exponents twice as large as any exponent of the inputs
+    d = {(-huge,) * 4: 1, (-huge - 1, -huge, -huge, -huge): 3}
+    q = {(2 * huge,) * 4: 5}
+    assert K.exact_div_terms(ref_mul(q, d), d, weights, 10**6) == q
+
+
+exponents = st.tuples(*[st.integers(-(1 << 45), 1 << 45)] * 4)
+weight_tuples = st.tuples(*[st.integers(0, 6)] * 4)
+
+
+@given(exponents, exponents, weight_tuples)
+def test_packed_keys_round_trip_order_and_add(e, f, weights):
+    bound = max(abs(x) for x in e + f) * 2
+    packing = K.Packing(weights, bound)
+    pe, pf = packing.pack(e), packing.pack(f)
+    assert packing.unpack(pe) == e and packing.unpack(pf) == f
+    assert (pe < pf) == (K.order_key(e, weights) < K.order_key(f, weights))
+    assert (pe == pf) == (e == f)
+    e_plus_f = tuple(x + y for x, y in zip(e, f))
+    assert packing.pack(e_plus_f) == pe + pf
+    assert packing.unpack(pe + pf) == e_plus_f
