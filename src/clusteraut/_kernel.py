@@ -243,15 +243,17 @@ def exact_div_terms(tp: dict, td: dict, weights: tuple, max_terms: int = 0) -> d
     keys, with the leading term of the remainder taken from a heap.  Two
     rejection rules keep the non-divisible case finite: coefficient
     divisibility at each step, and the coordinate box Newton(q) = Newton(p) -
-    Newton(d).  The order floor (no quotient term below the box corner) is
-    also checked, but with nonnegative weights the box implies it.
+    Newton(d).  Leading terms strictly decrease and the box is finite, so
+    the loop ends; with the engine's positive weights (a, 1, 1, b) a term
+    inside the box is never below the box corner in the order, so no
+    separate order floor is needed.
     """
     if not tp:
         return {}
     # exact per-coordinate bounds on any quotient monomial
     p_lo, p_hi = _support_box(tp)
     d_lo, d_hi = _support_box(td)
-    lo1, lo2, lo3, lo4 = q_lo = [pl - dl for pl, dl in zip(p_lo, d_lo)]
+    lo1, lo2, lo3, lo4 = [pl - dl for pl, dl in zip(p_lo, d_lo)]
     hi1, hi2, hi3, hi4 = [ph - dh for ph, dh in zip(p_hi, d_hi)]
     # Remainder monomials stay inside Newton(p)'s box; a candidate quotient
     # term is one p-box monomial minus one d monomial.
@@ -260,7 +262,6 @@ def exact_div_terms(tp: dict, td: dict, weights: tuple, max_terms: int = 0) -> d
     pack, unpack = packing.pack, packing.unpack
     dterms = sorted((pack(exps), v) for exps, v in td.items())
     lead_d, lc_d = dterms.pop()
-    trail = pack(q_lo)  # key of the smallest possible quotient term
     r = {pack(exps): v for exps, v in tp.items()}
     heap = [-key for key in r]  # max-heap of the remainder's keys, lazily pruned
     heapify(heap)
@@ -275,8 +276,7 @@ def exact_div_terms(tp: dict, td: dict, weights: tuple, max_terms: int = 0) -> d
             continue
         tk = lead_r - lead_d
         t1, t2, t3, t4 = t = unpack(tk)
-        # tk < trail cannot hold inside the box when no weight is negative
-        if tk < trail or not (
+        if not (
             lo1 <= t1 <= hi1 and lo2 <= t2 <= hi2 and lo3 <= t3 <= hi3 and lo4 <= t4 <= hi4
         ):
             raise NotDivisible("leading term not reachable by any exact quotient")

@@ -90,6 +90,8 @@ def cmd_cluster(args):
 
 def cmd_period(args):
     params = _params(args)
+    if args.n_max < 2:
+        raise UsageError("n_max must be at least 2")
     period = cluster.detect_period(params, args.n_max)
     payload = {
         "a": params.a,

@@ -12,7 +12,10 @@ when a*b <= 3, with period 5, 6 or 8.
 """
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator
 
 from .budget import current_max_terms
@@ -46,27 +49,127 @@ def _step_up(params: Params, prev: LaurentPoly, cur: LaurentPoly, middle: int):
         raise LaurentViolation(f"y_{middle + 1} is not Laurent: {exc}") from exc
 
 
+#: Bound on the walk cache: the number of terms held, summed over every cached
+#: value of every walk.  It holds the working set of a process that walks a
+#: few dozen (a, b, direction) pairs to moderate n (13.5k terms for the
+#: cluster-walk benchmark's 20 walks).
+WALK_CACHE_TERMS = 1 << 15
+
+
+class _Prefix:
+    """The first values of one walk, computed under one term budget."""
+
+    __slots__ = ("values", "terms", "exps")
+
+    def __init__(self, seeds: tuple):
+        self.values = list(seeds)
+        self.terms = sum(v.num_terms for v in seeds)
+        self.exps: dict = {}  # exponent tuples of the cached values, interned
+
+
+class _WalkCache:
+    """Prefixes of walks keyed by (params, direction, term budget), least
+    recently used first, holding at most WALK_CACHE_TERMS terms in total.
+
+    The budget is part of the key because a step that fits one budget can
+    raise BudgetExceeded under a smaller one; a prefix holds only steps that
+    succeeded under its own budget, so a cached walk raises exactly where a
+    cold one does.  The lock makes each lookup and append atomic, so walks in
+    several threads can share the cache; steps are computed outside it.
+    """
+
+    def __init__(self):
+        self.walks: OrderedDict = OrderedDict()
+        self.terms = 0
+        self.lock = threading.Lock()
+
+    def clear(self) -> None:
+        with self.lock:
+            self.walks.clear()
+            self.terms = 0
+
+    def _make_room(self, size: int) -> None:
+        while self.walks and self.terms + size > WALK_CACHE_TERMS:
+            _, old = self.walks.popitem(last=False)
+            self.terms -= old.terms
+
+    def prefix(self, key, seeds: tuple) -> list:
+        """The cached values of the walk ``key``, starting one if there is none."""
+        with self.lock:
+            entry = self.walks.get(key)
+            if entry is None:
+                entry = _Prefix(seeds)
+                self._make_room(entry.terms)
+                self.walks[key] = entry
+                self.terms += entry.terms
+            else:
+                self.walks.move_to_end(key)
+            return entry.values
+
+    def extend(self, key, index: int, value: LaurentPoly) -> LaurentPoly:
+        """Append ``value`` as entry ``index`` of walk ``key`` if it continues
+        the cached prefix and fits the bound; return the value to hand out."""
+        size = value.num_terms
+        with self.lock:
+            entry = self.walks.get(key)
+            if (
+                entry is None
+                or len(entry.values) != index
+                or entry.terms + size > WALK_CACHE_TERMS
+            ):
+                return value
+            self.walks.move_to_end(key)
+            self._make_room(size)  # evicts only other walks: this one fits alone
+            intern = entry.exps.setdefault
+            value = LaurentPoly(
+                value.ring, {intern(e, e): c for e, c in value.terms()}
+            )
+            entry.values.append(value)
+            entry.terms += size
+            self.terms += size
+            return value
+
+
+_walks = _WalkCache()
+
+
+def clear_walk_cache() -> None:
+    """Forget every cached walk."""
+    _walks.clear()
+
+
 def cluster_walk(params: Params, direction: int = 1) -> Iterator[ClusterVar]:
-    """Yield y1, y2, y3, ... (direction=+1) or y2, y1, y0, ... (direction=-1)."""
+    """Yield y1, y2, y3, ... (direction=+1) or y2, y1, y0, ... (direction=-1).
+
+    Values come from the walk cache where it has them; the others are
+    computed from the two before and appended to it.  Each step reads the
+    term budget in effect when it runs.
+    """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    if direction == 1:
-        prev, cur, n = Y1, Y2, 2
-        yield ClusterVar(params, 1, Y1)
-    else:
-        prev, cur, n = Y2, Y1, 1
-        yield ClusterVar(params, 2, Y2)
-    while True:
-        yield ClusterVar(params, n, cur)
-        prev, cur = cur, _step_up(params, prev, cur, n)
+    seeds = (Y1, Y2) if direction == 1 else (Y2, Y1)
+    n = 1 if direction == 1 else 2
+    prev = cur = None
+    for index in count():
+        key = (params, direction, current_max_terms())
+        values = _walks.prefix(key, seeds)
+        if index < len(values):
+            value = values[index]
+        else:
+            value = _walks.extend(
+                key, index, _step_up(params, prev, cur, n - direction)
+            )
+        yield ClusterVar(params, n, value)
+        prev, cur = cur, value
         n += direction
 
 
 def cluster_var(params: Params, n: int) -> ClusterVar:
     """The cluster variable y_n, for any integer n.
 
-    Runs the recurrence from the seed (y1, y2); cost grows with |n| and the
-    active term budget applies.
+    Walks from the seed (y1, y2) through the walk cache, computing only the
+    steps the cache lacks; a cold walk's cost grows with |n| and the active
+    term budget applies to every step.
     """
     walk = cluster_walk(params, 1 if n >= 1 else -1)
     for var in walk:

@@ -61,7 +61,7 @@ def test_criterion_02_laurent_phenomenon():
     first_blocked = None
     for (a, b) in pairs:
         params = Params(a, b)
-        # Walking upward, cluster_var(n+1) replays the same chain as
+        # Walking upward, cluster_var(n+1) walks the same chain as
         # cluster_var(n), so the first budget failure blocks the rest of
         # the direction deterministically; same for the downward walk.
         for direction in (range(1, 21), range(0, -21, -1)):

@@ -1,9 +1,15 @@
 """Command-line interface: exit codes, JSON payload stability, text output."""
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clusteraut.cli import main
+from clusteraut.cluster import clear_walk_cache
 
 
 def run_cli(capsys, *argv):
@@ -146,12 +152,49 @@ def test_exit_code_two_on_config_errors(capsys):
     code, _, err = run_cli(capsys, "cluster", "--a", "2", "--b", "2", "--n", "5",
                            "--max-terms", "0")
     assert code == 2 and err
+    for n_max in ("1", "-3"):
+        code, out, err = run_cli(capsys, "period", "--a", "1", "--b", "1",
+                                 "--n-max", n_max)
+        assert (code, out, err) == (2, "", "error: n_max must be at least 2\n")
 
 
 def test_exit_code_three_on_budget(capsys):
     code, _, err = run_cli(capsys, "cluster", "--a", "3", "--b", "3", "--n", "14",
                            "--max-terms", "40")
     assert code == 3 and "budget" in err
+
+
+def call_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["cluster", "period"]),
+    a=st.integers(-1, 3),
+    b=st.integers(-1, 3),
+    n=st.integers(-8, 8),
+    n_max=st.integers(-3, 20),
+    max_terms=st.one_of(st.none(), st.integers(-1, 400)),
+)
+def test_cluster_and_period_argv_end_cleanly(command, a, b, n, n_max, max_terms):
+    # Under the default budget, (3,3) y8 and the period search at a*b >= 4
+    # run for up to seconds; those requests are drawn with a small budget.
+    assume(max_terms is not None or a * b <= 3
+           or (command == "cluster" and abs(n) <= 7))
+    argv = [command, "--a", str(a), "--b", str(b), "--format", "json"]
+    argv += ["--n", str(n)] if command == "cluster" else ["--n-max", str(n_max)]
+    if max_terms is not None:
+        argv += ["--max-terms", str(max_terms)]
+    result = call_main(argv)
+    assert result[0] in (0, 2, 3)
+    if result[0] == 0:
+        json.loads(result[1])
+        clear_walk_cache()
+        assert call_main(argv) == result
 
 
 def test_json_output_is_byte_stable(capsys):
