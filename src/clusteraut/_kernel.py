@@ -20,11 +20,19 @@ division using a heap", J. Symb. Comput. 2011) instead of rescanning the
 remainder.  The remainder itself stays a dict, so the quotient, the term
 counts and the work counter match the plain leading-term elimination step
 by step.  Term maps enter and leave every function with 4-tuple keys.
+
+The normal-form rewriter expands y1^m y3^m into (y2^a + 1)^m (or y2^m y4^m
+into (y3^b + 1)^m) with the coefficients of one binomial row, built in O(m)
+steps and kept in a bounded cache.  It scales a surrogate coefficient by an
+integer entry by entry, without a ring multiplication, and takes each
+child's weighted degree from its parent's by a fixed step.  Input that is
+already normal is only ordered by weighted degree.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import comb
+from operator import add
 
 from .budget import WORK_FACTOR
 from .errors import BudgetExceeded, NotDivisible
@@ -200,6 +208,8 @@ def pow_terms(ta: dict, k: int, ops=None, max_terms: int = 0) -> dict:
         return {(0, 0, 0, 0): 1 if ops is None else ops.one}
     if ops is not None or k == 1:
         return _power(dict(ta), k, lambda x, y: _mul_terms(x, y, ops, max_terms))
+    if not ta:
+        return {}
     # every exponent of every intermediate power is at most k * span; a
     # product of two maps of two or more terms has two or more terms
     span = max(abs(e) for exps in ta for e in exps)
@@ -354,68 +364,120 @@ def substitute_terms(
     return out
 
 
+@lru_cache(maxsize=256)
+def binomial_row(m: int) -> tuple:
+    """(C(m,0), ..., C(m,m)), built with the multiplicative recurrence."""
+    row = [1]
+    c = 1
+    for i in range(1, m + 1):
+        c = c * (m - i + 1) // i
+        row.append(c)
+    return tuple(row)
+
+
 def normal_form_terms(tp: dict, a: int, b: int, ops=None, max_terms: int = 0) -> dict:
     """Rewrite with y1*y3 -> y2^a + 1 and y2*y4 -> y3^b + 1 until normal.
 
     Each rewrite strictly lowers the (a,1,1,b)-weighted degree, so processing
     terms level by level (highest weighted degree first, like terms merged
     within each level) terminates and visits every monomial at most once per
-    level.  The result is the unique normal form.
+    level.  The result is the unique normal form; its terms come out level
+    by level.  The coefficients of tp must be nonzero.
     """
-    out = {}
     pending: dict = {}  # weighted degree -> merged term map awaiting reduction
+    normal = True
     for exps, c in tp.items():
         e1, e2, e3, e4 = exps
         d = a * e1 + e2 + e3 + b * e4
         pending.setdefault(d, {})[exps] = c
+        if normal and (e1 > 0 and e3 > 0 or e2 > 0 and e4 > 0):
+            normal = False
+    if normal:
+        # the level loop would move each bucket to the output unchanged
+        if max_terms and len(tp) > max_terms:
+            raise BudgetExceeded("normal form budget exhausted")
+        out = {}
+        for d in sorted(pending, reverse=True):
+            out.update(pending[d])
+        return out
+
+    out = {}
+    size = len(tp)  # len(out) + the terms in all pending buckets
     processed = 0
-    work_cap = max_terms * WORK_FACTOR if max_terms else 0
-
-    def absorb(bucket: dict, key: tuple, value) -> None:
-        if ops is None:
-            s = bucket.get(key, 0) + value
-            if s:
-                bucket[key] = s
-            else:
-                bucket.pop(key, None)
-        else:
-            cur = bucket.get(key)
-            s = value if cur is None else ops.add(cur, value)
-            if ops.is_zero(s):
-                bucket.pop(key, None)
-            else:
-                bucket[key] = s
-
+    work_cap = max_terms * WORK_FACTOR + len(tp) if max_terms else 0
     while pending:
         level = max(pending)
         layer = pending.pop(level)
-        for (e1, e2, e3, e4), c in layer.items():
+        for exps, c in layer.items():
+            e1, e2, e3, e4 = exps
             m13 = e1 if e1 < e3 else e3
             m24 = e2 if e2 < e4 else e4
-            if m13 <= 0 and m24 <= 0:
-                absorb(out, (e1, e2, e3, e4), c)
-                continue
             if m13 > 0:
                 # y1^m13 y3^m13 -> (y2^a + 1)^m13, expanded binomially
-                children = (
-                    ((e1 - m13, e2 + a * i, e3 - m13, e4), comb(m13, i))
-                    for i in range(m13 + 1)
-                )
+                m, da, db = m13, a, 0
+                e1 -= m
+                e3 -= m
+            elif m24 > 0:
+                # y2^m24 y4^m24 -> (y3^b + 1)^m24
+                m, da, db = m24, 0, b
+                e2 -= m
+                e4 -= m
             else:
-                children = (
-                    ((e1, e2 - m24, e3 + b * i, e4 - m24), comb(m24, i))
-                    for i in range(m24 + 1)
-                )
-            for key, w in children:
-                k1, k2, k3, k4 = key
-                d = a * k1 + k2 + k3 + b * k4
-                cc = c * w if ops is None else ops.mul(c, (w,) + (0,) * (ops.m - 1))
-                absorb(pending.setdefault(d, {}), key, cc)
+                out[exps] = c  # a level is reduced once, so exps is new to out
+                continue
             processed += m13 + m24 + 1
-        if max_terms:
-            size = len(out) + sum(len(v) for v in pending.values())
-            if size > max_terms or processed > work_cap + len(tp):
-                raise BudgetExceeded("normal form budget exhausted")
+            size -= 1
+            # child i is y^(e1, e2 + da*i, e3 + db*i, e4) with coefficient
+            # C(m, i) * c, one level step of da + db above child i - 1
+            step = da + db
+            d = level - (step + 1) * m
+            if ops is None:
+                for w in binomial_row(m):
+                    key = (e1, e2, e3, e4)
+                    bucket = pending.get(d)
+                    if bucket is None:
+                        pending[d] = {key: c * w}
+                        size += 1
+                    else:
+                        s = bucket.get(key)
+                        if s is None:
+                            bucket[key] = c * w
+                            size += 1
+                        else:
+                            s += c * w
+                            if s:
+                                bucket[key] = s
+                            else:
+                                del bucket[key]
+                                size -= 1
+                    d += step
+                    e2 += da
+                    e3 += db
+            else:
+                for w in binomial_row(m):
+                    key = (e1, e2, e3, e4)
+                    cc = c if w == 1 else tuple([u * w for u in c])
+                    bucket = pending.get(d)
+                    if bucket is None:
+                        pending[d] = {key: cc}
+                        size += 1
+                    else:
+                        s = bucket.get(key)
+                        if s is None:
+                            bucket[key] = cc
+                            size += 1
+                        else:
+                            s = tuple(map(add, s, cc))
+                            if any(s):
+                                bucket[key] = s
+                            else:
+                                del bucket[key]
+                                size -= 1
+                    d += step
+                    e2 += da
+                    e3 += db
+        if max_terms and (size > max_terms or processed > work_cap):
+            raise BudgetExceeded("normal form budget exhausted")
     return out
 
 

@@ -48,20 +48,6 @@ def _params(args) -> Params:
         raise UsageError(str(exc)) from None
 
 
-def _poly_rows(p, params: Params):
-    """Term rows in canonical (descending) order, as in the map JSON form."""
-    from . import _kernel as K
-
-    tp = p.term_map()
-    rows = []
-    for key in sorted(
-        tp, key=lambda k: K.order_key(k, params.weights), reverse=True
-    ):
-        c = tp[key]
-        rows.append([list(key), [c] if isinstance(c, int) else list(c)])
-    return rows
-
-
 # -- simple subcommands ----------------------------------------------------
 
 
@@ -75,7 +61,7 @@ def cmd_cluster(args):
         "n": args.n,
         "num_terms": var.value.num_terms,
         "positive": var.positive,
-        "terms": _poly_rows(var.value, params),
+        "terms": surf.term_rows(var.value, params),
         "text": text_poly,
     }
     text = "\n".join(
@@ -127,11 +113,14 @@ def cmd_aut_factor(args):
     if args.map_json is not None:
         if args.word:
             raise UsageError("give either a word or --map-json, not both")
-        src = (
-            sys.stdin.read()
-            if args.map_json == "-"
-            else open(args.map_json, encoding="utf-8").read()
-        )
+        try:
+            if args.map_json == "-":
+                src = sys.stdin.read()
+            else:
+                with open(args.map_json, encoding="utf-8") as fh:
+                    src = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"map is not UTF-8 text ({exc})") from None
         f = surf.endo_from_json(src)
         if f.params != params:
             raise UsageError(

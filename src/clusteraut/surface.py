@@ -374,21 +374,24 @@ def factorize(f: EndoMap, max_word: int = 16) -> list:
 # -- serialization ---------------------------------------------------------
 
 
+def term_rows(p: LaurentPoly, params: Params) -> list:
+    """p as a list of [[e1, e2, e3, e4], coefficient-vector] pairs in
+    descending weighted order.  Integer coefficients become length-1
+    vectors; coefficients over the degree-m surrogate ring keep their full
+    length-m vector."""
+    tp = p.term_map()
+    weights = params.weights
+    rows = []
+    for key in sorted(tp, key=lambda k: K.order_key(k, weights), reverse=True):
+        c = tp[key]
+        rows.append([list(key), [c] if isinstance(c, int) else list(c)])
+    return rows
+
+
 def endo_to_obj(f: EndoMap) -> dict:
-    """Plain-data form: {"a", "b", "images"} where each image is a list of
-    [[e1, e2, e3, e4], coefficient-vector] pairs in descending weighted
-    order.  Integer coefficients become length-1 vectors; coefficients over
-    the degree-m surrogate ring keep their full length-m vector."""
-    weights = f.params.weights
-    images = []
-    for e in f.images:
-        tp = e.poly.term_map()
-        rows = []
-        for key in sorted(tp, key=lambda k: K.order_key(k, weights), reverse=True):
-            c = tp[key]
-            vec = [c] if isinstance(c, int) else list(c)
-            rows.append([list(key), vec])
-        images.append(rows)
+    """Plain-data form: {"a", "b", "images"} where each image is the
+    ``term_rows`` list of its polynomial."""
+    images = [term_rows(e.poly, f.params) for e in f.images]
     return {"a": f.params.a, "b": f.params.b, "images": images}
 
 

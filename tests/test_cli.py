@@ -85,6 +85,33 @@ def test_aut_factor_from_json_file(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+def test_aut_factor_map_not_utf8(capsys, tmp_path, monkeypatch):
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes('{"a": 2, "b": 2, "note": "\u00e9"}'.encode("latin-1"))
+    code, out, err = run_cli(
+        capsys, "aut-factor", "--a", "2", "--b", "2", "--map-json", str(latin)
+    )
+    assert (code, out) == (2, "") and err.startswith("error: map is not UTF-8 text")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"),
+                                                       encoding="utf-8"))
+    code, out, err = run_cli(capsys, "aut-factor", "--a", "2", "--b", "2",
+                             "--map-json", "-")
+    assert (code, out) == (2, "") and err.startswith("error: map is not UTF-8 text")
+
+
+def test_aut_factor_zero_map(capsys, tmp_path):
+    """A map whose images are all zero is refused like one with a zero image."""
+    one_zero = [[[[1, 0, 0, 0], [0]]], [[[0, 1, 0, 0], [1]]],
+                [[[0, 0, 1, 0], [1]]], [[[0, 0, 0, 1], [1]]]]
+    for images in ([[], [], [], []], one_zero):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"a": 2, "b": 2, "images": images}))
+        code, out, err = run_cli(
+            capsys, "aut-factor", "--a", "2", "--b", "2", "--map-json", str(path)
+        )
+        assert (code, out) == (1, "") and err.startswith("error: ZeroPolynomial: ")
+
+
 def test_group_commands(capsys):
     code, payload, _ = run_json(capsys, "group-mul", "--a", "2", "--b", "2", "s2", "s3")
     assert code == 0 and payload["product"] == "r"

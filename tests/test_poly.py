@@ -2,6 +2,7 @@
 the packed monomial keys, and agreement between the kernel and a plain
 tuple-key reference."""
 import random
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -73,6 +74,15 @@ def test_pow_matches_repeated_multiplication():
                 acc = acc * p
     with pytest.raises(NegativePower):
         LaurentPoly.one(ZZ) ** -1
+
+
+def test_pow_of_zero():
+    for ring in (ZZ, root_surrogate(3)):
+        zero = LaurentPoly.zero(ring)
+        assert zero ** 0 == LaurentPoly.one(ring)
+        for k in (1, 2, 5):
+            assert zero ** k == zero
+    assert K.pow_terms({}, 2) == {} == K.pow_terms({}, 5, None, 10)
 
 
 def test_exact_div_multiply_back():
@@ -370,3 +380,178 @@ def test_packed_keys_round_trip_order_and_add(e, f, weights):
     e_plus_f = tuple(x + y for x, y in zip(e, f))
     assert packing.pack(e_plus_f) == pe + pf
     assert packing.unpack(pe + pf) == e_plus_f
+
+
+# -- reference rewriter --------------------------------------------------------
+# The level-by-level normal form as it was before the kernel took its
+# binomial coefficients from rows and scaled surrogate coefficients without
+# ring calls, kept verbatim; the kernel must give the same term maps, in the
+# same dict order, and refuse in the same calls with the same text.
+
+
+def ref_normal_form(tp: dict, a: int, b: int, ops=None, max_terms: int = 0) -> dict:
+    out = {}
+    pending: dict = {}  # weighted degree -> merged term map awaiting reduction
+    for exps, c in tp.items():
+        e1, e2, e3, e4 = exps
+        d = a * e1 + e2 + e3 + b * e4
+        pending.setdefault(d, {})[exps] = c
+    processed = 0
+    work_cap = max_terms * WORK_FACTOR if max_terms else 0
+
+    def absorb(bucket: dict, key: tuple, value) -> None:
+        if ops is None:
+            s = bucket.get(key, 0) + value
+            if s:
+                bucket[key] = s
+            else:
+                bucket.pop(key, None)
+        else:
+            cur = bucket.get(key)
+            s = value if cur is None else ops.add(cur, value)
+            if ops.is_zero(s):
+                bucket.pop(key, None)
+            else:
+                bucket[key] = s
+
+    while pending:
+        level = max(pending)
+        layer = pending.pop(level)
+        for (e1, e2, e3, e4), c in layer.items():
+            m13 = e1 if e1 < e3 else e3
+            m24 = e2 if e2 < e4 else e4
+            if m13 <= 0 and m24 <= 0:
+                absorb(out, (e1, e2, e3, e4), c)
+                continue
+            if m13 > 0:
+                # y1^m13 y3^m13 -> (y2^a + 1)^m13, expanded binomially
+                children = (
+                    ((e1 - m13, e2 + a * i, e3 - m13, e4), comb(m13, i))
+                    for i in range(m13 + 1)
+                )
+            else:
+                children = (
+                    ((e1, e2 - m24, e3 + b * i, e4 - m24), comb(m24, i))
+                    for i in range(m24 + 1)
+                )
+            for key, w in children:
+                k1, k2, k3, k4 = key
+                d = a * k1 + k2 + k3 + b * k4
+                cc = c * w if ops is None else ops.mul(c, (w,) + (0,) * (ops.m - 1))
+                absorb(pending.setdefault(d, {}), key, cc)
+            processed += m13 + m24 + 1
+        if max_terms:
+            size = len(out) + sum(len(v) for v in pending.values())
+            if size > max_terms or processed > work_cap + len(tp):
+                raise BudgetExceeded("normal form budget exhausted")
+    return out
+
+
+def nf_outcome(fn, tp, a, b, ops, cap):
+    """The term map as a list (so that dict order counts), or the refusal."""
+    try:
+        return list(fn(tp, a, b, ops, cap).items())
+    except BudgetExceeded as exc:
+        return ("BudgetExceeded", str(exc))
+
+
+def assert_nf_agrees(tp, a, b, ops=None, cap=0):
+    want = nf_outcome(ref_normal_form, dict(tp), a, b, ops, cap)
+    assert nf_outcome(K.normal_form_terms, dict(tp), a, b, ops, cap) == want
+    return want
+
+
+def is_normal(tp):
+    return all(not (e1 > 0 and e3 > 0 or e2 > 0 and e4 > 0) for e1, e2, e3, e4 in tp)
+
+
+def random_terms(rng, ring, n_terms, span):
+    return random_poly(rng, ring, n_terms=n_terms, span=span, negatives=False).term_map()
+
+
+NF_RINGS = [ZZ] + [root_surrogate(m) for m in (1, 2, 3, 4, 6)]
+
+
+def test_normal_form_matches_reference():
+    """Over Z and Z[t]/(t^m - 1), m in {1, 2, 3, 4, 6}, and every a, b in 1..4."""
+    rng = random.Random(5150)
+    reduced = 0
+    for ring in NF_RINGS:
+        ops = ring.ops()
+        for a in range(1, 5):
+            for b in range(1, 5):
+                for _ in range(6):
+                    tp = random_terms(rng, ring, rng.choice([1, 4, 12]), 4)
+                    want = assert_nf_agrees(tp, a, b, ops, rng.choice([0, 10**6]))
+                    reduced += not is_normal(tp)
+                    assert is_normal(dict(want))
+    assert reduced > 300
+
+
+def test_normal_form_short_cut_and_edge_cases():
+    rng = random.Random(77)
+    for ring in NF_RINGS:
+        ops = ring.ops()
+        assert_nf_agrees({}, 2, 3, ops, 5)
+        for _ in range(30):
+            # already normal: no term divisible by y1*y3 or y2*y4
+            tp = {
+                exps: c for exps, c in random_terms(rng, ring, 10, 5).items()
+                if is_normal([exps])
+            }
+            a, b = rng.randrange(1, 5), rng.randrange(1, 5)
+            want = assert_nf_agrees(tp, a, b, ops, rng.choice([0, 10**6]))
+            assert sorted(want) == sorted(tp.items())
+    # (y1*y3)^300 and y1*(y2*y4)^250 need rows far beyond the usual ones
+    r6 = root_surrogate(6)
+    for tp, ops in [
+        ({(300, 0, 0, 0): 1, (300, 1, 300, 0): -2}, None),
+        ({(1, 250, 0, 250): 3}, None),
+        ({(300, 0, 300, 0): (1, 0, -1, 0, 0, 2)}, r6.ops()),
+    ]:
+        want = assert_nf_agrees(tp, 2, 3, ops, 10**6)
+        assert len(want) > 250
+    for m in (0, 1, 2, 7, 300, 301):
+        assert K.binomial_row(m) == tuple(comb(m, i) for i in range(m + 1))
+    maxsize = K.binomial_row.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 256
+
+
+def test_normal_form_refuses_like_reference():
+    """Under tight budgets the kernel refuses in the same calls as the
+    reference, already-normal input included, and with the same text."""
+    rng = random.Random(31337)
+    refused = {"normal": 0, "reduced": 0}
+    accepted_near_cap = 0
+    for trial in range(600):
+        ring = NF_RINGS[trial % 3]
+        ops = ring.ops()
+        a, b = rng.randrange(1, 5), rng.randrange(1, 5)
+        tp = random_terms(rng, ring, rng.choice([3, 8, 20]), rng.choice([2, 4]))
+        if trial % 4 == 0:
+            tp = {e: c for e, c in tp.items() if is_normal([e])}
+        free = nf_outcome(ref_normal_form, dict(tp), a, b, ops, 0)
+        cap = max(1, len(free) + rng.randrange(-8, 3))
+        want = assert_nf_agrees(tp, a, b, ops, cap)
+        if isinstance(want, tuple):
+            refused["normal" if is_normal(tp) else "reduced"] += 1
+        elif len(want) >= cap - 2 and not is_normal(tp):
+            accepted_near_cap += 1
+    assert min(refused.values()) >= 30 and accepted_near_cap >= 30
+
+
+nf_exps = st.tuples(*[st.integers(0, 5)] * 4)
+
+
+@given(
+    st.sampled_from([0, 1, 2, 3, 4, 6]),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.lists(st.tuples(nf_exps, st.integers(-3, 3)), max_size=10),
+    st.one_of(st.just(0), st.integers(1, 60)),
+)
+def test_normal_form_matches_reference_hypothesis(m, a, b, rows, cap):
+    ring = root_surrogate(m) if m else ZZ
+    terms = [(e, c if m == 0 else (c,) + (1 - c,) * (m - 1)) for e, c in rows]
+    tp = LaurentPoly.from_terms(ring, terms).term_map()
+    assert_nf_agrees(tp, a, b, ring.ops(), cap)
