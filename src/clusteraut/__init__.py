@@ -10,6 +10,6 @@ from ._kernel import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 from .budget import DEFAULT_MAX_TERMS, current_max_terms, limit
 from .errors import *  # noqa: F401,F403
 from .poly import LaurentPoly, Params, Y1, Y2, Y3, Y4
-from .rings import ZZ, Coeff, CoeffRing, root_surrogate
+from .rings import ZZ, CoeffRing, root_surrogate
 
 __version__ = "0.1.0"

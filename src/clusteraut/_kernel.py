@@ -112,10 +112,6 @@ def neg_terms(ta: dict, ops=None) -> dict:
     return {k: ops.neg(v) for k, v in ta.items()}
 
 
-def sub_terms(ta: dict, tb: dict, ops=None) -> dict:
-    return add_terms(ta, neg_terms(tb, ops), ops)
-
-
 def scale_terms(ta: dict, exps: tuple, coeff, ops=None) -> dict:
     """Multiply by the single term coeff * y^exps.  coeff must be nonzero."""
     e1, e2, e3, e4 = exps
@@ -484,6 +480,6 @@ def normal_form_terms(tp: dict, a: int, b: int, ops=None, max_terms: int = 0) ->
 # The kernel calls its own functions through these private names, so that a
 # wrapper installed on a public name from outside (perfbench --trace) counts
 # only the calls made from outside the kernel.  They go together with those
-# wrappers when the engine counts its own operations (ROADMAP item 4).
+# wrappers when the engine counts its own operations (ROADMAP item 5).
 _mul_terms = mul_terms
 _normal_form_terms = normal_form_terms

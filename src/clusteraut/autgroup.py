@@ -29,7 +29,6 @@ from .surface import (
     scaling,
     sigma2,
     sigma3,
-    sigma_word,
     swap,
 )
 
@@ -188,15 +187,6 @@ class GroupElement:
             )
         object.__setattr__(self, "h", hflag)
 
-    @property
-    def is_identity(self) -> bool:
-        return (
-            self.r_exp == 0
-            and self.s == 0
-            and self.mu == (0, 0)
-            and self.h == 0
-        )
-
     def __str__(self) -> str:
         parts = []
         if self.r_exp:
@@ -351,8 +341,8 @@ def from_word(structure: GroupStructure, word) -> GroupElement:
         elif kind == "h":
             e = _append_h(e)
         elif kind == "sp":
-            for sub in sigma_word(atom[1]):
-                e = _append_s2(e) if sub[0] == "s2" else _append_s3(e)
+            # sigma_p = (s3 s2)^(p-2) s2 = r^(2-p) s2
+            e = _append_s2(_append_r_power(e, 2 - atom[1]))
         else:
             raise ValueError(f"unknown generator atom {atom!r}")
     return e
@@ -398,11 +388,11 @@ def to_endo(x: GroupElement) -> EndoMap:
     return f
 
 
-def enumerate_finite(structure: GroupStructure, cross_check: bool = True):
+def enumerate_finite(structure: GroupStructure):
     """All group elements for a finite case, as a list.
 
-    With cross_check, every pair is also compared as surface maps through
-    to_endo to confirm the enumeration has no collisions.
+    Every pair is also compared as surface maps through to_endo to confirm
+    the enumeration has no collisions.
     """
     if structure.r_order is None:
         raise NotFiniteType(f"group for {structure.params} is infinite")
@@ -414,12 +404,9 @@ def enumerate_finite(structure: GroupStructure, cross_check: bool = True):
         for i in range(p.a)
         for j in range(p.b)
     ]
-    if cross_check:
-        maps = [to_endo(e) for e in elements]
-        for n, f in enumerate(maps):
-            for g in maps[n + 1 :]:
-                if equal(f, g):
-                    raise EngineError(
-                        "distinct normal forms evaluate to the same map"
-                    )
+    maps = [to_endo(e) for e in elements]
+    for n, f in enumerate(maps):
+        for g in maps[n + 1 :]:
+            if equal(f, g):
+                raise EngineError("distinct normal forms evaluate to the same map")
     return elements

@@ -101,7 +101,7 @@ def cmd_aut_compose(args):
     payload["word"] = print_word(atoms)
     payload["verified"] = f.verified
     lines = [
-        f"y{i + 1} -> {print_poly(e.poly, params)}"
+        f"y{i + 1} -> {print_poly(e, params)}"
         for i, e in enumerate(f.images)
     ]
     lines.append(f"verified: {_yes(f.verified)}")

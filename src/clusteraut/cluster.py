@@ -20,8 +20,16 @@ from typing import Iterator
 
 from .budget import current_max_terms
 from .errors import BudgetExceeded, LaurentViolation, NotDivisible
-from .poly import LaurentPoly, Params, Y1, Y2, exact_div, parity_exponent
-from .surface import SurfaceElement, normal_form
+from .poly import (
+    LaurentPoly,
+    Params,
+    Y1,
+    Y2,
+    exact_div,
+    parity_exponent,
+    substitute,
+)
+from .surface import normal_form, y0_expression, y5_expression
 
 
 @dataclass(frozen=True)
@@ -221,31 +229,6 @@ def detect_period(params: Params, n_max: int = 50) -> int | None:
 # -- identities and cross-checks ------------------------------------------
 
 
-def y0_expression(params: Params) -> LaurentPoly:
-    """y0 = y1^b * y4 - y2^(a-1) * sum_{i<b} (y1*y3)^i as a 4-variable polynomial."""
-    a, b = params.a, params.b
-    y1, y2, y3, y4 = (LaurentPoly.variable(i) for i in (1, 2, 3, 4))
-    acc = LaurentPoly.zero()
-    for i in range(b):
-        acc = acc + (y1 * y3) ** i
-    return y1 ** b * y4 - y2 ** (a - 1) * acc
-
-
-def y5_expression(params: Params, paper_literal: bool = False) -> LaurentPoly:
-    """y5 = y4^a * y1 - y3^(b-1) * sum_{i<a} (y2*y4)^i.
-
-    The upper summation bound is a; ``paper_literal`` uses b instead, which
-    breaks the identity whenever a != b.
-    """
-    a, b = params.a, params.b
-    y1, y2, y3, y4 = (LaurentPoly.variable(i) for i in (1, 2, 3, 4))
-    bound = b if paper_literal else a
-    acc = LaurentPoly.zero()
-    for i in range(bound):
-        acc = acc + (y2 * y4) ** i
-    return y4 ** a * y1 - y3 ** (b - 1) * acc
-
-
 def verify_identity_y0(params: Params) -> bool:
     """Check y2 * y0 == y1^b + 1 modulo the relations."""
     y1, y2 = Y1, Y2
@@ -264,9 +247,9 @@ def verify_identity_y5(params: Params, paper_literal: bool = False) -> bool:
     return normal_form(params, claim).is_zero()
 
 
-def verify_identity_y0_y5(params: Params, paper_literal: bool = False) -> bool:
-    """Both boundary identities at once (the y0 one has no variant)."""
-    return verify_identity_y0(params) and verify_identity_y5(params, paper_literal)
+def verify_identity_y0_y5(params: Params) -> bool:
+    """Both boundary identities at once."""
+    return verify_identity_y0(params) and verify_identity_y5(params)
 
 
 def laurent_images(params: Params) -> tuple[LaurentPoly, ...]:
@@ -278,14 +261,11 @@ def laurent_images(params: Params) -> tuple[LaurentPoly, ...]:
     return (Y1, Y2, l3, l4)
 
 
-def laurent_expand(params: Params, x) -> LaurentPoly:
+def laurent_expand(params: Params, p: LaurentPoly) -> LaurentPoly:
     """Image of a 4-variable element in the Laurent ring of the seed cluster.
 
     This is the localization embedding, so it is faithful: two elements are
     equal modulo the relations iff their expansions coincide.  Used as an
     independent oracle for normal-form computations.
     """
-    from .poly import substitute
-
-    p = x.poly if isinstance(x, SurfaceElement) else x
     return substitute(p, laurent_images(params))

@@ -52,10 +52,6 @@ class PicardLattice:
             raise ValueError("canonical class length does not match rank")
 
     @property
-    def n_exceptional(self) -> int:
-        return self.rank - (1 if self.origin == PLANE else 2)
-
-    @property
     def gram(self) -> tuple:
         """The intersection form as a matrix (tuple of rows)."""
         rows = []

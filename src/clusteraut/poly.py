@@ -175,7 +175,8 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         ring, ta, tb = self._coerce_pair(other)
-        return LaurentPoly(ring, K.sub_terms(ta, tb, ring.ops()))
+        ops = ring.ops()
+        return LaurentPoly(ring, K.add_terms(ta, K.neg_terms(tb, ops), ops))
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.ring, K.neg_terms(self._terms, self.ring.ops()))

@@ -159,45 +159,3 @@ def promote_value(value: Value, src: CoeffRing, dst: CoeffRing) -> Value:
         return dst.coerce(value)
     raise RingMismatch(f"no embedding of degree {src.m} into {dst}")
 
-
-@dataclass(frozen=True)
-class Coeff:
-    """A single coefficient tagged with its ring.
-
-    Convenience wrapper for callers inspecting polynomials term by term;
-    the polynomial internals store raw values.
-    """
-
-    ring: CoeffRing
-    value: Value
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.ring.coerce(self.value))
-
-    def _pair(self, other: "Coeff"):
-        ring = join(self.ring, other.ring)
-        return (
-            ring,
-            promote_value(self.value, self.ring, ring),
-            promote_value(other.value, other.ring, ring),
-        )
-
-    def __add__(self, other: "Coeff") -> "Coeff":
-        ring, x, y = self._pair(other)
-        ops = ring.ops()
-        return Coeff(ring, x + y if ops is None else ops.add(x, y))
-
-    def __sub__(self, other: "Coeff") -> "Coeff":
-        return self + (-other)
-
-    def __neg__(self) -> "Coeff":
-        ops = self.ring.ops()
-        return Coeff(self.ring, -self.value if ops is None else ops.neg(self.value))
-
-    def __mul__(self, other: "Coeff") -> "Coeff":
-        ring, x, y = self._pair(other)
-        ops = ring.ops()
-        return Coeff(ring, x * y if ops is None else ops.mul(x, y))
-
-    def is_zero(self) -> bool:
-        return self.ring.is_zero(self.value)

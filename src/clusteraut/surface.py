@@ -20,7 +20,6 @@ for y3, y4, y5, y6 (an index shift by 2).
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,55 +32,27 @@ from .errors import (
     FactorizationFailed,
     SwapRequiresEqualParams,
 )
-from .poly import LaurentPoly, Params, embed, substitute, weighted_degree
+from .poly import LaurentPoly, Params, embed, weighted_degree
 from .rings import ZZ, CoeffRing, join, root_surrogate
 
-#: recheck composed maps against the relations (slow; for debugging)
-DEBUG_VERIFY = bool(os.environ.get("CLUSTERAUT_DEBUG"))
 
-
-def normal_form(params: Params, p: LaurentPoly) -> "SurfaceElement":
+def normal_form(params: Params, p: LaurentPoly) -> LaurentPoly:
     """Reduce p to its unique normal form modulo the exchange relations."""
     if p.has_negative_exponents():
         raise NegativeExponent("normal form requires nonnegative exponents")
     terms = K.normal_form_terms(
         p.term_map(), params.a, params.b, p.ring.ops(), current_max_terms()
     )
-    return SurfaceElement(params, LaurentPoly(p.ring, terms))
-
-
-@dataclass(frozen=True)
-class SurfaceElement:
-    """An algebra element held in normal form."""
-
-    params: Params
-    poly: LaurentPoly
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def weighted_degree(self) -> int:
-        return weighted_degree(self.poly, self.params)
-
-    def __eq__(self, other) -> bool:
-        """Equal iff the term maps agree after embedding into a common ring."""
-        if not isinstance(other, SurfaceElement):
-            return NotImplemented
-        if self.params != other.params:
-            return False
-        ring = join(self.poly.ring, other.poly.ring)
-        return embed(self.poly, ring) == embed(other.poly, ring)
-
-    def __hash__(self) -> int:
-        return hash((self.params, frozenset(self.poly.term_map().items())))
+    return LaurentPoly(p.ring, terms)
 
 
 @dataclass(frozen=True)
 class EndoMap:
-    """An algebra endomorphism given by generator images in normal form."""
+    """An algebra endomorphism given by generator images in normal form,
+    all four over one coefficient ring."""
 
     params: Params
-    images: tuple[SurfaceElement, SurfaceElement, SurfaceElement, SurfaceElement]
+    images: tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]
     verified: bool
 
     @classmethod
@@ -90,43 +61,34 @@ class EndoMap:
     ) -> "EndoMap":
         """Build from four polynomials (normalized here); verify the relations
         unless told not to.  ``verified`` records the outcome of the check."""
-        elems = []
         ring = ZZ
         for p in images:
-            if isinstance(p, SurfaceElement):
-                p = p.poly
             ring = join(ring, p.ring)
-            elems.append(normal_form(params, p))
-        elems = [
-            SurfaceElement(params, embed(e.poly, ring)) for e in elems
-        ]
-        f = cls(params, tuple(elems), False)
+        elems = tuple(embed(normal_form(params, p), ring) for p in images)
+        f = cls(params, elems, False)
         if verify and is_endomorphism(f):
-            f = cls(params, tuple(elems), True)
+            f = cls(params, elems, True)
         return f
 
     @property
     def ring(self) -> CoeffRing:
-        r = ZZ
-        for e in self.images:
-            r = join(r, e.poly.ring)
-        return r
+        return self.images[0].ring
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EndoMap):
             return NotImplemented
-        return self.params == other.params and all(
-            a == b for a, b in zip(self.images, other.images)
-        )
+        return self.params == other.params and equal(self, other)
 
     def __hash__(self) -> int:
-        return hash((self.params, self.images))
+        # equal maps over different rings share their exponent supports
+        supports = tuple(frozenset(e.term_map()) for e in self.images)
+        return hash((self.params, supports))
 
 
 def is_endomorphism(f: EndoMap) -> bool:
     """Do the images satisfy both exchange relations?"""
     a, b = f.params.a, f.params.b
-    i1, i2, i3, i4 = (e.poly for e in f.images)
+    i1, i2, i3, i4 = f.images
     one = LaurentPoly.one(i1.ring)
     r1 = normal_form(f.params, i1 * i3 - i2 ** a - one)
     if not r1.is_zero():
@@ -139,12 +101,15 @@ def equal(f: EndoMap, g: EndoMap) -> bool:
     """Image-wise equality after embedding into a common coefficient ring."""
     if f.params != g.params:
         raise ParamsMismatch(f"maps for {f.params} and {g.params}")
-    return all(a == b for a, b in zip(f.images, g.images))
+    ring = join(f.ring, g.ring)
+    return all(
+        embed(p, ring) == embed(q, ring) for p, q in zip(f.images, g.images)
+    )
 
 
 def total_degree(f: EndoMap) -> int:
     """Sum of the weighted degrees of the four images (the descent measure)."""
-    return sum(e.weighted_degree() for e in f.images)
+    return sum(weighted_degree(e, f.params) for e in f.images)
 
 
 # -- generators ------------------------------------------------------------
@@ -156,40 +121,51 @@ def identity(params: Params) -> EndoMap:
     return EndoMap.make(params, images)
 
 
-def _geom_sum(factor: LaurentPoly, count: int) -> LaurentPoly:
-    """1 + factor + ... + factor^(count-1)."""
-    out = LaurentPoly.zero(factor.ring)
-    for i in range(count):
-        out = out + factor ** i
-    return out
+def y0_expression(params: Params) -> LaurentPoly:
+    """y0 = y1^b * y4 - y2^(a-1) * sum_{i<b} (y1*y3)^i as a 4-variable polynomial."""
+    a, b = params.a, params.b
+    y1, y2, y3, y4 = (LaurentPoly.variable(i) for i in (1, 2, 3, 4))
+    acc = LaurentPoly.zero()
+    for i in range(b):
+        acc = acc + (y1 * y3) ** i
+    return y1 ** b * y4 - y2 ** (a - 1) * acc
+
+
+def y5_expression(params: Params, paper_literal: bool = False) -> LaurentPoly:
+    """y5 = y4^a * y1 - y3^(b-1) * sum_{i<a} (y2*y4)^i.
+
+    The upper summation bound is a; ``paper_literal`` uses b instead, which
+    breaks the identity whenever a != b.
+    """
+    a, b = params.a, params.b
+    y1, y2, y3, y4 = (LaurentPoly.variable(i) for i in (1, 2, 3, 4))
+    bound = b if paper_literal else a
+    acc = LaurentPoly.zero()
+    for i in range(bound):
+        acc = acc + (y2 * y4) ** i
+    return y4 ** a * y1 - y3 ** (b - 1) * acc
 
 
 @lru_cache(maxsize=None)
 def sigma2(params: Params) -> EndoMap:
     """The reflection fixing y2: y_n -> y_{4-n}.
 
-    Images: (y3, y2, y1, y1^b * y4 - y2^(a-1) * sum_{i<b} (y1*y3)^i), the last
-    being the expression for y0.
+    Images: (y3, y2, y1, y0), with y0 from ``y0_expression``.
     """
-    a, b = params.a, params.b
-    y1, y2, y3, y4 = (LaurentPoly.variable(i) for i in (1, 2, 3, 4))
-    y0 = y1 ** b * y4 - y2 ** (a - 1) * _geom_sum(y1 * y3, b)
-    return EndoMap.make(params, [y3, y2, y1, y0])
+    y1, y2, y3 = (LaurentPoly.variable(i) for i in (1, 2, 3))
+    return EndoMap.make(params, [y3, y2, y1, y0_expression(params)])
 
 
 @lru_cache(maxsize=None)
 def sigma3(params: Params, paper_literal: bool = False) -> EndoMap:
     """The reflection fixing y3: y_n -> y_{6-n}.
 
-    Images: (y4^a * y1 - y3^(b-1) * sum_{i<a} (y2*y4)^i, y4, y3, y2), the first
-    being the expression for y5.  ``paper_literal`` switches the summation
-    bound from a to b; that variant violates the relations whenever a != b and
-    is kept only so verification reports can exhibit the discrepancy.
+    Images: (y5, y4, y3, y2), with y5 from ``y5_expression``.  The
+    ``paper_literal`` variant violates the relations whenever a != b and is
+    kept only so verification reports can exhibit the discrepancy.
     """
-    a, b = params.a, params.b
-    y1, y2, y3, y4 = (LaurentPoly.variable(i) for i in (1, 2, 3, 4))
-    bound = b if paper_literal else a
-    y5 = y4 ** a * y1 - y3 ** (b - 1) * _geom_sum(y2 * y4, bound)
+    y2, y3, y4 = (LaurentPoly.variable(i) for i in (2, 3, 4))
+    y5 = y5_expression(params, paper_literal)
     return EndoMap.make(params, [y5, y4, y3, y2], verify=not paper_literal)
 
 
@@ -267,21 +243,18 @@ def compose(f: EndoMap, g: EndoMap, caches=None) -> EndoMap:
     params = f.params
     ring = join(f.ring, g.ring)
     ops = ring.ops()
-    f_maps = tuple(embed(e.poly, ring).term_map() for e in f.images)
+    f_maps = tuple(embed(e, ring).term_map() for e in f.images)
     if caches is None:
         caches = K.new_power_caches(ops)
     cap = current_max_terms()
     out = []
     ab = (params.a, params.b)
     for e in g.images:
-        tp = embed(e.poly, ring).term_map()
+        tp = embed(e, ring).term_map()
         sub = K.substitute_terms(tp, f_maps, ops, cap, caches, nf=ab)
         nf = K.normal_form_terms(sub, params.a, params.b, ops, cap)
-        out.append(SurfaceElement(params, LaurentPoly(ring, nf)))
-    h = EndoMap(params, tuple(out), f.verified and g.verified)
-    if DEBUG_VERIFY and h.verified:
-        assert is_endomorphism(h), "composition broke the relations"
-    return h
+        out.append(LaurentPoly(ring, nf))
+    return EndoMap(params, tuple(out), f.verified and g.verified)
 
 
 def compose_word(
@@ -391,7 +364,7 @@ def term_rows(p: LaurentPoly, params: Params) -> list:
 def endo_to_obj(f: EndoMap) -> dict:
     """Plain-data form: {"a", "b", "images"} where each image is the
     ``term_rows`` list of its polynomial."""
-    images = [term_rows(e.poly, f.params) for e in f.images]
+    images = [term_rows(e, f.params) for e in f.images]
     return {"a": f.params.a, "b": f.params.b, "images": images}
 
 
@@ -403,13 +376,14 @@ def _obj_error(detail: str) -> ParseError:
     return ParseError(f"bad map object: {detail}")
 
 
-def endo_from_obj(obj, verify: bool = True) -> EndoMap:
+def endo_from_obj(obj) -> EndoMap:
     """Rebuild a map from its plain-data form (inverse of endo_to_obj).
 
     Vector lengths fix the coefficient ring: all length 1 means integers,
     length m >= 2 means the degree-m surrogate ring (length-1 vectors mixed
     in are read as integer constants of that ring).  Raises ParseError on
-    malformed input.  The relations are rechecked unless verify is False.
+    malformed input.  The relations are always rechecked; ``verified``
+    records the outcome.
     """
     if not isinstance(obj, dict):
         raise _obj_error("expected an object")
@@ -457,12 +431,12 @@ def endo_from_obj(obj, verify: bool = True) -> EndoMap:
                 raise _obj_error(f"duplicate exponent {key}")
             terms[key] = ring.coerce(vec[0] if len(vec) == 1 else tuple(vec))
         images.append(LaurentPoly.from_terms(ring, terms))
-    return EndoMap.make(params, images, verify=verify)
+    return EndoMap.make(params, images)
 
 
-def endo_from_json(src: str, verify: bool = True) -> EndoMap:
+def endo_from_json(src: str) -> EndoMap:
     try:
         obj = json.loads(src)
     except ValueError as exc:
         raise _obj_error(f"invalid JSON ({exc})") from None
-    return endo_from_obj(obj, verify=verify)
+    return endo_from_obj(obj)

@@ -115,6 +115,9 @@ def test_aut_factor_zero_map(capsys, tmp_path):
 def test_group_commands(capsys):
     code, payload, _ = run_json(capsys, "group-mul", "--a", "2", "--b", "2", "s2", "s3")
     assert code == 0 and payload["product"] == "r"
+    code, payload, _ = run_json(capsys, "group-mul", "--a", "2", "--b", "2",
+                                "sp(99999999999999999999)", "s2")
+    assert code == 0 and payload["product"] == "r^-99999999999999999997"
     code, payload, _ = run_json(capsys, "group-structure", "--a", "1", "--b", "1")
     assert code == 0 and payload["group_order"] == 10
     code, payload, _ = run_json(capsys, "group-structure", "--a", "2", "--b", "2")

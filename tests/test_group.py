@@ -28,6 +28,7 @@ from clusteraut.surface import (
     scaling,
     sigma2,
     sigma3,
+    sigma_word,
     swap,
 )
 from clusteraut.textio import parse_word
@@ -68,7 +69,7 @@ def test_structure_cases():
 def test_enumeration_counts():
     for (a, b), count in (((1, 1), 10), ((2, 1), 12), ((1, 2), 12), ((3, 1), 24), ((1, 3), 24)):
         st = structure_of(Params(a, b))
-        elements = enumerate_finite(st, cross_check=False)
+        elements = enumerate_finite(st)
         assert len(elements) == count
         assert len(set(elements)) == count
 
@@ -76,7 +77,7 @@ def test_enumeration_counts():
 def test_enumeration_distinct_as_surface_maps():
     for a, b in ((1, 1), (2, 1), (3, 1)):
         st = structure_of(Params(a, b))
-        enumerate_finite(st, cross_check=True)
+        enumerate_finite(st)
 
 
 def test_enumeration_requires_finite():
@@ -102,7 +103,7 @@ def test_word_homomorphism_random():
 def test_gmul_matches_composition_on_finite_groups():
     for a, b in ((1, 1), (2, 1)):
         st = structure_of(Params(a, b))
-        elements = enumerate_finite(st, cross_check=False)
+        elements = enumerate_finite(st)
         endos = {e: to_endo(e) for e in elements}
         for x in elements:
             for y in elements:
@@ -240,3 +241,23 @@ def test_to_endo_of_identity():
         params = Params(a, b)
         st = structure_of(params)
         assert equal(to_endo(identity_element(st)), identity(params))
+
+
+def test_sp_atom_folds_as_rotation_then_s2():
+    """('sp', p) folds as r^(2-p) s2, the same element as its expanded word,
+    and a huge p costs no more than a small one."""
+    for a, b in ((1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (3, 3)):
+        st = structure_of(Params(a, b))
+        prefixes = [[], [("s3",)], [("m", a - 1, b - 1), ("s2",)]]
+        if a == b:
+            prefixes.append([("h",)])
+        for p in range(-12, 15):
+            for prefix in prefixes:
+                for suffix in ([], [("s3",)]):
+                    folded = from_word(st, prefix + [("sp", p)] + suffix)
+                    expanded = from_word(st, prefix + sigma_word(p) + suffix)
+                    assert folded == expanded
+    st = structure_of(Params(2, 2))
+    huge = 10 ** 20
+    assert from_word(st, [("sp", huge)]) == GroupElement(st, 2 - huge, 1)
+    assert from_word(st, [("sp", huge), ("s2",)]) == GroupElement(st, 2 - huge)

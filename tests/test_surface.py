@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from clusteraut import cluster
 from clusteraut.budget import limit
 from clusteraut.cluster import cluster_var, laurent_expand
 from clusteraut.errors import (
@@ -38,6 +39,8 @@ from clusteraut.surface import (
     sigma_word,
     swap,
     total_degree,
+    y0_expression,
+    y5_expression,
 )
 
 ALL_PARAMS = [Params(a, b) for a in range(1, 4) for b in range(1, 4)]
@@ -93,7 +96,7 @@ def test_normal_form_confluent_with_random_strategy():
         params = Params(a, b)
         for _ in range(120):
             p = random_positive_poly(rng)
-            engine = normal_form(params, p).poly
+            engine = normal_form(params, p)
             independent = naive_normal_form(params, p, rng)
             assert engine == independent
 
@@ -111,17 +114,47 @@ def test_normal_form_kills_ideal_multiples():
             m2 = random_positive_poly(rng, n_terms=2, span=2)
             q = p + m1 * rel1 + m2 * rel2
             assert normal_form(params, p) == normal_form(params, q)
-            assert normal_form(params, m1 * rel1 + m2 * rel2).poly.is_zero()
+            assert normal_form(params, m1 * rel1 + m2 * rel2).is_zero()
 
 
 def test_normal_form_is_reduced():
     rng = random.Random(9)
     params = Params(3, 2)
     for _ in range(80):
-        nf = normal_form(params, random_positive_poly(rng)).poly
+        nf = normal_form(params, random_positive_poly(rng))
         for e, _ in nf.terms():
             assert not (e[0] > 0 and e[2] > 0)
             assert not (e[1] > 0 and e[3] > 0)
+
+
+def test_sigma_images_are_the_boundary_expressions():
+    """sigma2 and sigma3 take their new image from the one definition of y0
+    and y5, the literal variant included."""
+    assert cluster.y0_expression is y0_expression
+    assert cluster.y5_expression is y5_expression
+    y1, y2, y3, y4 = (LaurentPoly.variable(i) for i in (1, 2, 3, 4))
+    for a in range(1, 5):
+        for b in range(1, 5):
+            params = Params(a, b)
+            y0 = normal_form(params, y0_expression(params))
+            assert sigma2(params).images == (y3, y2, y1, y0)
+            for literal in (False, True):
+                y5 = normal_form(params, y5_expression(params, literal))
+                assert sigma3(params, literal).images == (y5, y4, y3, y2)
+
+
+def test_maps_hash_like_equality():
+    """Maps equal over different coefficient rings hash alike."""
+    params = Params(2, 2)
+    one = scaling(params, 0, 0)
+    assert one.ring != identity(params).ring
+    assert one == identity(params)
+    assert hash(one) == hash(identity(params))
+    assert len({one, identity(params)}) == 1
+    s2 = compose(sigma2(params), one)
+    assert s2.ring != sigma2(params).ring
+    assert len({s2, sigma2(params), sigma3(params)}) == 2
+    assert one != identity(Params(2, 1))
 
 
 def test_generators_preserve_relations():
@@ -172,9 +205,9 @@ def test_composition_against_point_evaluation():
                 )
                 # on points, the ring map f o g acts through f first:
                 # (f o g)(y_i) evaluated at P is g(y_i) at (f(y_j) at P)_j
-                f_pt = tuple(evaluate(e.poly, pt) for e in f.images)
-                want = tuple(evaluate(e.poly, f_pt) for e in g.images)
-                got = tuple(evaluate(e.poly, pt) for e in fg.images)
+                f_pt = tuple(evaluate(e, pt) for e in f.images)
+                want = tuple(evaluate(e, f_pt) for e in g.images)
+                got = tuple(evaluate(e, pt) for e in fg.images)
                 assert got == want
 
 
@@ -338,5 +371,4 @@ def test_serialization_verify_flag():
     obj["images"][0] = [[[9, 0, 0, 0], [1]]]
     f = endo_from_obj(obj)
     assert not f.verified
-    g = endo_from_obj(obj, verify=False)
-    assert not g.verified
+    assert endo_from_obj(endo_to_obj(sigma2(params))).verified
