@@ -26,6 +26,7 @@ from .surface import (
     compose,
     equal,
     identity,
+    rotation,
     scaling,
     sigma2,
     sigma3,
@@ -137,7 +138,7 @@ class GroupStructure:
         return f"infinite dihedral acting on scalings of order {self.mu_order}"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def structure_of(params: Params) -> GroupStructure:
     """Case descriptor for the parameter pair, with action tables filled in."""
     a, b = params.a, params.b
@@ -326,8 +327,8 @@ def ginv(x: GroupElement) -> GroupElement:
 def from_word(structure: GroupStructure, word) -> GroupElement:
     """Fold a word of generator atoms, leftmost acting last.
 
-    Atoms are ('s2',), ('s3',), ('m', i, j), ('h',) and ('sp', p), matching
-    the word grammar used by the command line tools.
+    Atoms are ('s2',), ('s3',), ('m', i, j), ('h',), ('r', k) and ('sp', p),
+    matching the word grammar used by the command line tools.
     """
     e = identity_element(structure)
     for atom in word:
@@ -340,6 +341,8 @@ def from_word(structure: GroupStructure, word) -> GroupElement:
             e = _append_scaling(e, atom[1], atom[2])
         elif kind == "h":
             e = _append_h(e)
+        elif kind == "r":
+            e = _append_r_power(e, atom[1])
         elif kind == "sp":
             # sigma_p = (s3 s2)^(p-2) s2 = r^(2-p) s2
             e = _append_s2(_append_r_power(e, 2 - atom[1]))
@@ -349,29 +352,6 @@ def from_word(structure: GroupStructure, word) -> GroupElement:
 
 
 # -- evaluation onto surface maps ------------------------------------------
-
-_r_power_cache: dict = {}
-
-
-def _r_power(params: Params, k: int) -> EndoMap:
-    cache = _r_power_cache.setdefault(params, {0: identity(params)})
-    if k in cache:
-        return cache[k]
-    step = compose(sigma2(params), sigma3(params))
-    step_inv = compose(sigma3(params), sigma2(params))
-    if k > 0:
-        n = max(kk for kk in cache if kk <= k)
-    else:
-        n = min(kk for kk in cache if kk >= k)
-    while n != k:
-        if k > 0:
-            cache[n + 1] = compose(step, cache[n])
-            n += 1
-        else:
-            cache[n - 1] = compose(step_inv, cache[n])
-            n -= 1
-    return cache[k]
-
 
 def to_endo(x: GroupElement) -> EndoMap:
     """Evaluate the normal form as a surface map."""
@@ -384,7 +364,7 @@ def to_endo(x: GroupElement) -> EndoMap:
     if x.s:
         f = compose(sigma2(params), f)
     if x.r_exp:
-        f = compose(_r_power(params, x.r_exp), f)
+        f = compose(rotation(params, x.r_exp), f)
     return f
 
 

@@ -551,6 +551,9 @@ def _add_common(p, params=True):
         default=DEFAULT_MAX_WORD,
         help="cap for factorization and order search",
     )
+
+
+def _add_literal(p):
     p.add_argument(
         "--paper-literal",
         action="store_true",
@@ -578,6 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aut-compose", help="compose a generator word into a map")
     p.add_argument("word", nargs="+", help="word tokens (s2 s3 sp(p) m(i,j) h)")
     _add_common(p)
+    _add_literal(p)
     p.set_defaults(func=cmd_aut_compose)
 
     p = sub.add_parser("aut-factor", help="factor a map into generators")
@@ -586,11 +590,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--map-json", help="read the map from this JSON file ('-' = stdin)"
     )
     _add_common(p)
+    _add_literal(p)
     p.set_defaults(func=cmd_aut_factor)
 
     p = sub.add_parser("aut-order", help="order of a composed map")
     p.add_argument("word", nargs="+", help="word tokens")
     _add_common(p)
+    _add_literal(p)
     p.set_defaults(func=cmd_aut_order)
 
     p = sub.add_parser("group-mul", help="multiply two abstract group words")

@@ -57,7 +57,7 @@ class RSOps:
         return not any(x)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _rs_ops(m: int) -> RSOps:
     return RSOps(m)
 

@@ -20,6 +20,8 @@ for y3, y4, y5, y6 (an index shift by 2).
 from __future__ import annotations
 
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -114,8 +116,16 @@ def total_degree(f: EndoMap) -> int:
 
 # -- generators ------------------------------------------------------------
 
+#: Bounds on the generator caches, in entries.  The generators hold every
+#: pair with a, b <= 6 (72 keys for sigma3 and its literal variant), the
+#: scalings every (pair, i, j) of those pairs (441).  A residue table can
+#: take megabytes, so only a few pairs keep theirs.
+_PAIRS = 128
+_SCALINGS = 1024
+_TABLES = 8
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_PAIRS)
 def identity(params: Params) -> EndoMap:
     images = [LaurentPoly.variable(i) for i in (1, 2, 3, 4)]
     return EndoMap.make(params, images)
@@ -146,7 +156,7 @@ def y5_expression(params: Params, paper_literal: bool = False) -> LaurentPoly:
     return y4 ** a * y1 - y3 ** (b - 1) * acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PAIRS)
 def sigma2(params: Params) -> EndoMap:
     """The reflection fixing y2: y_n -> y_{4-n}.
 
@@ -156,7 +166,7 @@ def sigma2(params: Params) -> EndoMap:
     return EndoMap.make(params, [y3, y2, y1, y0_expression(params)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PAIRS)
 def sigma3(params: Params, paper_literal: bool = False) -> EndoMap:
     """The reflection fixing y3: y_n -> y_{6-n}.
 
@@ -169,7 +179,7 @@ def sigma3(params: Params, paper_literal: bool = False) -> EndoMap:
     return EndoMap.make(params, [y5, y4, y3, y2], verify=not paper_literal)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SCALINGS)
 def scaling(params: Params, i: int, j: int) -> EndoMap:
     """Diagonal scaling by the root-of-unity pair (mu, nu) = (t^(m/a*i), t^(m/b*j)).
 
@@ -189,7 +199,7 @@ def scaling(params: Params, i: int, j: int) -> EndoMap:
     return EndoMap.make(params, images)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PAIRS)
 def swap(params: Params) -> EndoMap:
     """The coordinate reversal (y1,y2,y3,y4) -> (y4,y3,y2,y1); needs a == b."""
     if params.a != params.b:
@@ -198,23 +208,9 @@ def swap(params: Params) -> EndoMap:
     return EndoMap.make(params, images)
 
 
-def sigma_word(p: int) -> list:
-    """Word for the reflection y_n -> y_{2p-n} in terms of s2 and s3.
-
-    The shift y_n -> y_{n+2} is compose(sigma3, sigma2), and
-    sigma_p = shift^(p-2) o sigma2.
-    """
-    k = p - 2
-    if k >= 0:
-        prefix = [("s3",), ("s2",)] * k
-    else:
-        prefix = [("s2",), ("s3",)] * (-k)
-    return prefix + [("s2",)]
-
-
 def make_generator(params: Params, atom, paper_literal: bool = False) -> EndoMap:
     """Build one generator from a word atom: ('s2',), ('s3',), ('m', i, j),
-    ('h',) or ('sp', p)."""
+    ('h',), ('r', k) or ('sp', p)."""
     kind = atom[0]
     if kind == "s2":
         return sigma2(params)
@@ -224,9 +220,31 @@ def make_generator(params: Params, atom, paper_literal: bool = False) -> EndoMap
         return scaling(params, atom[1], atom[2])
     if kind == "h":
         return swap(params)
+    if kind == "r":
+        return rotation(params, atom[1], paper_literal)
     if kind == "sp":
-        return compose_word(params, sigma_word(atom[1]), paper_literal)
+        # the reflection y_n -> y_{2p-n} is sigma_p = r^(2-p) o sigma2
+        return compose(rotation(params, 2 - atom[1], paper_literal), sigma2(params))
     raise ValueError(f"unknown generator atom {atom!r}")
+
+
+def rotation(params: Params, k: int, paper_literal: bool = False) -> EndoMap:
+    """r^k for r = sigma2 o sigma3, the word (s2 s3)^k, or (s3 s2)^|k| when
+    k < 0, shifting y_n -> y_{n-2k}.
+
+    Built one power of r at a time through the word cache; at the first
+    power equal to the identity, k is reduced modulo it.  When r has
+    infinite order every power up to |k| is built, so a huge k runs until
+    the term budget stops it.
+    """
+    pair = (("s2",), ("s3",)) if k >= 0 else (("s3",), ("s2",))
+    one = identity(params)
+    power = one
+    for j in range(1, abs(k) + 1):
+        power = compose_word(params, pair * j, paper_literal)
+        if equal(power, one):
+            return compose_word(params, pair * (abs(k) % j), paper_literal)
+    return power
 
 
 # -- composition and factorization ----------------------------------------
@@ -257,13 +275,113 @@ def compose(f: EndoMap, g: EndoMap, caches=None) -> EndoMap:
     return EndoMap(params, tuple(out), f.verified and g.verified)
 
 
+#: Bound on the word cache: the number of terms held, summed over the four
+#: images of every cached map.  It holds the working set of a process that
+#: composes words at a few pairs (about 25k terms for the 800 prefixes of the
+#: aut-roundtrip benchmark).
+WORD_CACHE_TERMS = 1 << 15
+
+
+def _interned(f: EndoMap, pool: dict) -> EndoMap:
+    """f with its exponent tuples and surrogate coefficient tuples replaced
+    by the equal tuples held in ``pool`` (added there if new), dict order
+    kept."""
+    intern = pool.setdefault
+    images = []
+    for e in f.images:
+        if e.ring.is_integers:
+            terms = {intern(k, k): c for k, c in e.terms()}
+        else:
+            terms = {intern(k, k): intern(c, c) for k, c in e.terms()}
+        images.append(LaurentPoly(e.ring, terms))
+    return EndoMap(f.params, tuple(images), f.verified)
+
+
+class _WordCache:
+    """Maps of words keyed by (params, paper_literal, term budget, atoms),
+    least recently used first, holding at most WORD_CACHE_TERMS terms.
+
+    The budget is part of the key because a composition that fits one budget
+    can raise BudgetExceeded under a smaller one, so a word cached under one
+    budget raises under another exactly where a cold composition does.
+    Stored maps take their tuples from one intern pool per pair, dropped
+    with the last entry that uses it.  The lock makes each lookup and store
+    atomic, so threads can share the cache; compositions run outside it.
+    """
+
+    def __init__(self):
+        self.maps: OrderedDict = OrderedDict()  # key -> (map, terms)
+        self.terms = 0
+        self.pools: dict = {}  # params -> [intern pool, entries using it]
+        self.lock = threading.Lock()
+
+    def clear(self) -> None:
+        with self.lock:
+            self.maps.clear()
+            self.pools.clear()
+            self.terms = 0
+
+    def longest_prefix(self, head: tuple, word: tuple):
+        """(j, map of word[:j]) for the longest cached prefix, or (0, None)."""
+        with self.lock:
+            for j in range(len(word), 0, -1):
+                key = head + (word[:j],)
+                entry = self.maps.get(key)
+                if entry is not None:
+                    self.maps.move_to_end(key)
+                    return j, entry[0]
+        return 0, None
+
+    def store(self, key: tuple, f: EndoMap) -> EndoMap:
+        """Cache f under key if it fits the bound; return the map to hand out."""
+        size = sum(e.num_terms for e in f.images)
+        if size > WORD_CACHE_TERMS:
+            return f
+        with self.lock:
+            entry = self.maps.get(key)
+            if entry is not None:  # stored by another thread meanwhile
+                self.maps.move_to_end(key)
+                return entry[0]
+            while self.maps and self.terms + size > WORD_CACHE_TERMS:
+                (params, *_), (_, old) = self.maps.popitem(last=False)
+                self.terms -= old
+                pool = self.pools[params]
+                pool[1] -= 1
+                if not pool[1]:
+                    del self.pools[params]
+            pool = self.pools.setdefault(key[0], [{}, 0])
+            pool[1] += 1
+            f = _interned(f, pool[0])
+            self.maps[key] = (f, size)
+            self.terms += size
+            return f
+
+
+_words = _WordCache()
+
+
+def clear_word_cache() -> None:
+    """Forget every cached word."""
+    _words.clear()
+
+
 def compose_word(
     params: Params, word, paper_literal: bool = False
 ) -> EndoMap:
-    """Compose a word of atoms left to right (leftmost acts last)."""
-    result = identity(params)
-    for atom in word:
-        result = compose(result, make_generator(params, atom, paper_literal))
+    """Compose a word of atoms left to right (leftmost acts last).
+
+    Starts from the longest prefix of the word in the word cache, composes
+    the remaining atoms one at a time and caches each new prefix, so a
+    cached word returns the same map, in the same dict order, as a cold one.
+    """
+    word = tuple(word)
+    head = (params, paper_literal, current_max_terms())
+    done, result = _words.longest_prefix(head, word)
+    if result is None:
+        result = identity(params)
+    for j in range(done, len(word)):
+        f = compose(result, make_generator(params, word[j], paper_literal))
+        result = _words.store(head + (word[: j + 1],), f)
     return result
 
 
@@ -278,26 +396,22 @@ def order_of(f: EndoMap, cap: int = 16) -> int | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES)
 def _residue_candidates(params: Params) -> tuple:
     """All products (alternating sigma word of length <= 5) o scaling o swap^e,
     paired with their words.  Covers every finite-type group element and every
-    local-minimum residue of the descent in the infinite cases."""
-    dihedral: list[tuple[tuple, EndoMap]] = [((), identity(params))]
-    for start in ("s2", "s3"):
-        word: list = []
-        endo = identity(params)
-        letter = start
-        for _ in range(5):
-            word = word + [(letter,)]
-            endo = compose(endo, make_generator(params, (letter,)))
-            dihedral.append((tuple(word), endo))
-            letter = "s3" if letter == "s2" else "s2"
+    local-minimum residue of the descent in the infinite cases.  The maps of
+    one table take their tuples from one intern pool."""
+    dihedral = [()]
+    for pair in ((("s2",), ("s3",)), (("s3",), ("s2",))):
+        dihedral += [(pair * 3)[:n] for n in range(1, 6)]
+    pool: dict = {}
     candidates = []
     swaps: list[tuple[tuple, EndoMap]] = [((), identity(params))]
     if params.a == params.b:
         swaps.append(((("h",),), swap(params)))
-    for dword, dend in dihedral:
+    for dword in dihedral:
+        dend = compose_word(params, dword)
         for i in range(params.a):
             for j in range(params.b):
                 if i == 0 and j == 0:
@@ -307,9 +421,8 @@ def _residue_candidates(params: Params) -> tuple:
                     mword = (("m", i, j),)
                     mend = scaling(params, i, j)
                 for hword, hend in swaps:
-                    word = dword + mword + hword
                     endo = compose(dend, compose(mend, hend))
-                    candidates.append((word, endo))
+                    candidates.append((dword + mword + hword, _interned(endo, pool)))
     return tuple(candidates)
 
 

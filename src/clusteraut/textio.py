@@ -20,8 +20,9 @@ Words in the generators are whitespace-separated tokens
 
 read left to right; the leftmost token acts last under composition.  The
 rotation shorthand 'r' / 'r^<int>' used by the group normal-form printer is
-also accepted and expands to the corresponding alternating word, so printed
-normal forms parse back.
+also accepted, as one atom ('r', k) standing for the alternating word
+(s2 s3)^k, so printed normal forms parse back; 'r^0' and 'id' stand for
+the empty word.
 """
 from __future__ import annotations
 
@@ -276,7 +277,7 @@ def _expect(src: str, i: int, line: int, col: int, ch: str) -> tuple[int, int, i
 def parse_word(src: str) -> list:
     """Parse a generator word into a list of atoms:
 
-    ('s2',), ('s3',), ('h',), ('sp', p), ('m', i, j).
+    ('s2',), ('s3',), ('h',), ('sp', p), ('m', i, j), ('r', k).
     """
     atoms = []
     i, line, col = 0, 1, 0
@@ -315,8 +316,8 @@ def parse_word(src: str) -> list:
             k = 1
             if i < n and src[i] == "^":
                 k, i, col = _scan_int(src, i + 1, line, col + 1)
-            pair = [("s2",), ("s3",)] if k >= 0 else [("s3",), ("s2",)]
-            atoms.extend(pair * abs(k))
+            if k:
+                atoms.append(("r", k))
         elif src[i] == "i" and src[i : i + 2] == "id":
             i += 2
             col += 2
@@ -338,6 +339,8 @@ def print_word(atoms) -> str:
             parts.append(f"sp({atom[1]})")
         elif kind == "m":
             parts.append(f"m({atom[1]},{atom[2]})")
+        elif kind == "r":
+            parts.append("r" if atom[1] == 1 else f"r^{atom[1]}")
         else:
             raise ValueError(f"unknown atom {atom!r}")
     return " ".join(parts) if parts else "id"

@@ -174,6 +174,45 @@ def test_paper_literal_flag(capsys):
     assert code == 0 and payload["verified"] is False
 
 
+def test_paper_literal_only_on_aut_commands(capsys):
+    for argv in (
+        ["verify", "--suite", "identities"],
+        ["cluster", "--a", "2", "--b", "3", "--n", "3"],
+        ["group-mul", "--a", "2", "--b", "3", "s2", "s3"],
+    ):
+        try:
+            code = main(argv + ["--paper-literal"])
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2 and "unrecognized arguments: --paper-literal" in err
+    for command in ("aut-compose", "aut-order", "aut-factor"):
+        code, _, _ = run_cli(capsys, command, "--a", "2", "--b", "2", "--paper-literal", "s2")
+        assert code == 0
+
+
+def test_huge_rotation_atoms(capsys):
+    """r^k and sp(p) are one atom each: a huge k is reduced modulo the order
+    of r at a finite pair, and refused by the term budget at (3,2)."""
+    huge = "99999999999999999999"
+    code, payload, _ = run_json(capsys, "group-mul", "--a", "2", "--b", "2", f"r^{huge}", "s2")
+    assert code == 0 and payload["product"] == f"r^{huge} s2"
+    code, payload, _ = run_json(capsys, "group-mul", "--a", "2", "--b", "1", f"r^{huge}", "s2")
+    assert code == 0 and payload["product"] == "s2"
+    # r has order 4 at (1,3), and the huge k is 3 modulo 4
+    for word, same in ((f"r^{huge}", "r^-1"), (f"r^-{huge}", "r"), (f"sp({huge})", "sp(3)")):
+        code, payload, _ = run_json(capsys, "aut-compose", "--a", "1", "--b", "3", word)
+        assert code == 0 and payload["word"] == word
+        code, want, _ = run_json(capsys, "aut-compose", "--a", "1", "--b", "3", same)
+        assert payload["images"] == want["images"]
+        code, out, err = run_cli(
+            capsys, "aut-compose", "--a", "3", "--b", "2", "--max-terms", "2000", word
+        )
+        assert code == 3 and out == "" and err.startswith("budget exceeded: ")
+    code, payload, _ = run_json(capsys, "aut-order", "--a", "1", "--b", "1", f"sp({huge})")
+    assert code == 0 and payload["order"] == 2
+
+
 def test_exit_code_two_on_config_errors(capsys):
     code, _, err = run_cli(capsys, "cluster", "--a", "0", "--b", "2", "--n", "5")
     assert code == 2 and err

@@ -28,10 +28,17 @@ from clusteraut.surface import (
     scaling,
     sigma2,
     sigma3,
-    sigma_word,
     swap,
 )
 from clusteraut.textio import parse_word
+
+
+def expanded(atom):
+    """The alternating s2/s3 word that an ('r', k) or ('sp', p) atom stands for."""
+    if atom[0] == "r":
+        k = atom[1]
+        return ([("s2",), ("s3",)] if k >= 0 else [("s3",), ("s2",)]) * abs(k)
+    return expanded(("r", 2 - atom[1])) + [("s2",)]
 
 
 def random_word(rng, params, max_len, allow_sp=False):
@@ -255,9 +262,29 @@ def test_sp_atom_folds_as_rotation_then_s2():
             for prefix in prefixes:
                 for suffix in ([], [("s3",)]):
                     folded = from_word(st, prefix + [("sp", p)] + suffix)
-                    expanded = from_word(st, prefix + sigma_word(p) + suffix)
-                    assert folded == expanded
+                    unfolded = from_word(st, prefix + expanded(("sp", p)) + suffix)
+                    assert folded == unfolded
     st = structure_of(Params(2, 2))
     huge = 10 ** 20
     assert from_word(st, [("sp", huge)]) == GroupElement(st, 2 - huge, 1)
     assert from_word(st, [("sp", huge), ("s2",)]) == GroupElement(st, 2 - huge)
+
+
+def test_r_atom_folds_as_one_power():
+    """('r', k) folds through one _append_r_power, the same element as its
+    expanded word, and a huge k costs no more than a small one."""
+    for a, b in ((1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (3, 3)):
+        st = structure_of(Params(a, b))
+        prefixes = [[], [("s3",)], [("m", a - 1, b - 1), ("s2",)]]
+        if a == b:
+            prefixes.append([("h",)])
+        for k in range(-12, 13):
+            for prefix in prefixes:
+                for suffix in ([], [("s3",)], [("m", 1, 0)]):
+                    folded = from_word(st, prefix + [("r", k)] + suffix)
+                    unfolded = from_word(st, prefix + expanded(("r", k)) + suffix)
+                    assert folded == unfolded
+    st = structure_of(Params(2, 2))
+    huge = 10 ** 20
+    assert from_word(st, [("r", huge), ("s2",)]) == GroupElement(st, huge, 1)
+    assert from_word(st, parse_word(f"r^-{huge} h")) == GroupElement(st, -huge, h=1)

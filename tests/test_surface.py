@@ -2,11 +2,13 @@
 independent rewriter, composition against rational-point evaluation, word
 algebra, factorization, and serialization."""
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from clusteraut import cluster
+from clusteraut import autgroup, cluster, rings, surface
 from clusteraut.budget import limit
 from clusteraut.cluster import cluster_var, laurent_expand
 from clusteraut.errors import (
@@ -20,6 +22,7 @@ from clusteraut.poly import LaurentPoly, Params
 from clusteraut.rings import ZZ, root_surrogate
 from clusteraut.surface import (
     EndoMap,
+    clear_word_cache,
     compose,
     compose_word,
     endo_from_json,
@@ -33,10 +36,10 @@ from clusteraut.surface import (
     make_generator,
     normal_form,
     order_of,
+    rotation,
     scaling,
     sigma2,
     sigma3,
-    sigma_word,
     swap,
     total_degree,
     y0_expression,
@@ -274,7 +277,7 @@ def test_shift_words_shift_cluster_indices():
     for a, b in ((2, 2), (2, 1)):
         params = Params(a, b)
         for p in (0, 1, 2, 3, 4):
-            f = compose_word(params, sigma_word(p))
+            f = compose_word(params, [("sp", p)])
             assert f.verified
             for i in (1, 2, 3, 4):
                 assert laurent_expand(params, f.images[i - 1]) == cluster_var(
@@ -372,3 +375,238 @@ def test_serialization_verify_flag():
     f = endo_from_obj(obj)
     assert not f.verified
     assert endo_from_obj(endo_to_obj(sigma2(params))).verified
+
+
+# -- the word cache ----------------------------------------------------------
+
+
+def fold(params, word, paper_literal=False):
+    """A word of letters composed left to right without the word cache."""
+    f = identity(params)
+    for atom in word:
+        f = compose(f, make_generator(params, atom, paper_literal))
+    return f
+
+
+def same_terms(f, g):
+    """Equal maps with the same term maps in the same dict order."""
+    return (f.params, f.verified) == (g.params, g.verified) and all(
+        p.ring == q.ring and list(p.terms()) == list(q.terms())
+        for p, q in zip(f.images, g.images)
+    )
+
+
+def map_terms(f):
+    return sum(e.num_terms for e in f.images)
+
+
+def random_letters(rng, params, max_len):
+    atoms = [("s2",), ("s3",), ("m", rng.randrange(params.a), rng.randrange(params.b))]
+    if params.a == params.b and params.a >= 2:
+        atoms.append(("h",))
+    return [rng.choice(atoms) for _ in range(rng.randrange(0, max_len + 1))]
+
+
+def check_cache_consistent():
+    words = surface._words
+    entries = words.maps.items()
+    assert words.terms == sum(size for _, (_, size) in entries)
+    assert all(size == map_terms(f) for _, (f, size) in entries)
+    users = {}
+    for key in words.maps:
+        users[key[0]] = users.get(key[0], 0) + 1
+    assert {p: pool[1] for p, pool in words.pools.items()} == users
+
+
+def test_word_cache_warm_and_cold_agree():
+    rng = random.Random(7)
+    for a, b in ((1, 1), (2, 1), (2, 2), (3, 2), (1, 3)):
+        params = Params(a, b)
+        words = [random_letters(rng, params, 5) for _ in range(12)]
+        cold = [fold(params, w) for w in words]
+        clear_word_cache()
+        first = [compose_word(params, w) for w in words]
+        for word, f, want in zip(words, first, cold):
+            assert same_terms(f, want)
+            assert compose_word(params, word) is f
+            # a longer word starts from the cached map of this one
+            assert same_terms(
+                compose_word(params, word + [("s3",)]), fold(params, word + [("s3",)])
+            )
+        check_cache_consistent()
+    clear_word_cache()
+    assert surface._words.terms == 0 and not surface._words.pools
+
+
+def test_word_cache_is_keyed_by_budget():
+    params = Params(3, 2)
+    word = [("s2",), ("s3",), ("s2",)]
+    clear_word_cache()
+    compose_word(params, word + [("s3",)])
+    with limit(50):
+        for w in (word, word + [("s3",)], [("sp", 0)], [("r", 2)]):
+            with pytest.raises(BudgetExceeded):
+                compose_word(params, w)
+    with limit(200):
+        assert same_terms(compose_word(params, word), fold(params, word))
+    assert same_terms(compose_word(params, word), fold(params, word))
+
+
+def test_word_cache_is_keyed_by_paper_literal():
+    params = Params(2, 3)
+    word = [("s3",), ("s2",)]
+    for literal_first in (False, True):
+        clear_word_cache()
+        order = (True, False) if literal_first else (False, True)
+        got = {flag: compose_word(params, word, flag) for flag in order}
+        assert same_terms(got[False], fold(params, word))
+        assert same_terms(got[True], fold(params, word, True))
+        assert got[False].verified and not got[True].verified
+        assert not equal(got[False], got[True])
+
+
+def test_word_cache_stays_within_its_bound(monkeypatch):
+    bound = 40
+    monkeypatch.setattr(surface, "WORD_CACHE_TERMS", bound)
+    params = Params(2, 2)
+    word = [("s2",), ("s3",)] * 3
+    clear_word_cache()
+    for j in range(1, len(word) + 1):
+        # prefixes of 6, 11, 20, 34, 51 and 79 terms: the last two go uncached
+        assert same_terms(compose_word(params, word[:j]), fold(params, word[:j]))
+        assert surface._words.terms <= bound
+        check_cache_consistent()
+    assert [len(key[-1]) for key in surface._words.maps] == [4]
+    # least recently used entries go first, and a pair's intern pool with them
+    monkeypatch.setattr(surface, "WORD_CACHE_TERMS", 12)
+    clear_word_cache()
+    for p in (Params(1, 1), Params(2, 1), Params(1, 1)):
+        compose_word(p, [("s2",)])  # 5 terms each
+    compose_word(params, [("s2",)])  # 6 terms: evicts (2,1), used before (1,1)
+    assert [key[0] for key in surface._words.maps] == [Params(1, 1), params]
+    assert set(surface._words.pools) == {Params(1, 1), params}
+    check_cache_consistent()
+
+
+def test_threads_share_the_word_cache_safely(monkeypatch):
+    # A small bound and frequent clears make the threads evict, store and
+    # look up entries of the same pairs at the same time.
+    monkeypatch.setattr(surface, "WORD_CACHE_TERMS", 120)
+    rng = random.Random(3)
+    cases = []
+    for a, b in ((1, 1), (2, 1), (2, 2), (1, 3)):
+        params = Params(a, b)
+        for _ in range(8):
+            word = random_letters(rng, params, 5)
+            cases.append((params, word, fold(params, word)))
+    errors = []
+
+    def worker(seed):
+        r = random.Random(seed)
+        try:
+            for _ in range(400):
+                if r.random() < 0.05:
+                    clear_word_cache()
+                params, word, want = r.choice(cases)
+                assert same_terms(compose_word(params, word), want)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        clear_word_cache()
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert surface._words.terms <= 120
+    check_cache_consistent()
+
+
+def test_interned_maps_equal_fresh_ones():
+    for a, b in ((2, 2), (3, 2), (4, 1)):
+        params = Params(a, b)
+        clear_word_cache()
+        words = [[("s2",), ("s3",), ("m", 1, 1)], [("m", 1, 0), ("s3",), ("s2",)], [("s2",)]]
+        maps = [compose_word(params, w) for w in words]
+        for w, f in zip(words, maps):
+            assert same_terms(f, fold(params, w))
+        seen = {}
+        for f in maps:
+            for e in f.images:
+                for k, c in e.terms():
+                    for value in (k, c) if isinstance(c, tuple) else (k,):
+                        assert seen.setdefault(value, value) is value
+        # the residue table: the same maps as the hand-rolled chains, interned
+        table = surface._residue_candidates(params)
+        letters = [("s2",), ("s3",)]
+        folds = {}
+        seen = {}
+        for word, endo in table:
+            dihedral = tuple(x for x in word if x in letters)
+            if dihedral not in folds:
+                folds[dihedral] = fold(params, dihedral)
+            rest = word[len(dihedral):]
+            mend = scaling(params, *rest[0][1:]) if rest and rest[0][0] == "m" else identity(params)
+            hend = swap(params) if rest and rest[-1] == ("h",) else identity(params)
+            want = compose(folds[dihedral], compose(mend, hend))
+            assert same_terms(endo, want)
+            for e in endo.images:
+                for k, c in e.terms():
+                    for value in (k, c) if isinstance(c, tuple) else (k,):
+                        assert seen.setdefault(value, value) is value
+        assert len(table) == 11 * a * b * (2 if a == b else 1)
+
+
+def test_rotation_atoms_match_their_letters():
+    """('r', k) and ('sp', p) compose to the maps of their expanded words,
+    and at the finite pairs k is reduced modulo the order of r."""
+    for a, b in ((1, 1), (2, 1), (3, 1), (2, 2)):
+        params = Params(a, b)
+        for k in range(-5, 6):
+            pair = [("s2",), ("s3",)] if k >= 0 else [("s3",), ("s2",)]
+            letters = pair * abs(k)
+            assert equal(rotation(params, k), fold(params, letters))
+            assert equal(compose_word(params, [("s3",), ("r", k)]), fold(params, [("s3",)] + letters))
+            p = 2 - k
+            assert equal(compose_word(params, [("sp", p)]), fold(params, letters + [("s2",)]))
+    huge = 10 ** 20
+    for a, b, order in ((1, 1, 5), (2, 1, 3), (1, 3, 4)):
+        params = Params(a, b)
+        assert equal(rotation(params, huge), rotation(params, huge % order))
+        assert equal(rotation(params, -huge), rotation(params, -huge % order))
+        assert equal(compose_word(params, [("sp", huge)]), compose_word(params, [("sp", 2 - (2 - huge) % order)]))
+
+
+def test_generator_caches_are_bounded():
+    caches = (
+        surface.identity, surface.sigma2, surface.sigma3, surface.scaling,
+        surface.swap, surface._residue_candidates, autgroup.structure_of, rings._rs_ops,
+    )
+    for fn in caches:
+        fn.cache_clear()
+    pairs = [Params(a, 1) for a in range(1, surface._PAIRS + 2)]
+    for params in pairs:
+        identity(params)
+        sigma2(params)
+        sigma3(params)
+        swap(Params(params.a, params.a))
+    for i in range(surface._SCALINGS + 1):
+        scaling(Params(1, 1), i, 0)
+    for m in range(1, rings._rs_ops.cache_info().maxsize + 2):
+        root_surrogate(m).ops()
+    # the cheapest residue tables, one more than the bound
+    cheap = ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (4, 1), (1, 4), (5, 1), (2, 2))
+    for a, b in cheap[: surface._TABLES + 1]:
+        factorize(identity(Params(a, b)))
+    for a in range(1, autgroup.structure_of.cache_info().maxsize + 2):
+        autgroup.structure_of(Params(a, 1))
+    for fn in caches:
+        info = fn.cache_info()
+        assert info.currsize == info.maxsize, fn.__name__

@@ -94,7 +94,9 @@ def test_poly_parse_errors_with_positions():
 
 def test_word_round_trip():
     rng = random.Random(22)
-    atom_pool = [("s2",), ("s3",), ("h",), ("m", 2, 3), ("sp", 1), ("m", -1, 4)]
+    atom_pool = [
+        ("s2",), ("s3",), ("h",), ("m", 2, 3), ("sp", 1), ("m", -1, 4), ("r", 1), ("r", -3)
+    ]
     for _ in range(100):
         atoms = [atom_pool[rng.randrange(len(atom_pool))] for _ in range(rng.randrange(0, 7))]
         text = print_word(atoms)
@@ -104,11 +106,14 @@ def test_word_round_trip():
 
 
 def test_word_rotation_shorthand():
-    assert parse_word("r") == [("s2",), ("s3",)]
-    assert parse_word("r^3") == [("s2",), ("s3",)] * 3
-    assert parse_word("r^-2") == [("s3",), ("s2",)] * 2
+    assert parse_word("r") == [("r", 1)]
+    assert parse_word("r^3") == [("r", 3)]
+    assert parse_word("r^-2") == [("r", -2)]
     assert parse_word("r^0") == []
-    assert parse_word("s2 r h") == [("s2",), ("s2",), ("s3",), ("h",)]
+    assert parse_word("s2 r h") == [("s2",), ("r", 1), ("h",)]
+    huge = 10 ** 20
+    assert parse_word(f"r^{huge} s2") == [("r", huge), ("s2",)]
+    assert print_word([("r", 1), ("r", -2), ("r", huge)]) == f"r r^-2 r^{huge}"
 
 
 def test_word_parse_errors():
