@@ -20,12 +20,14 @@ from .errors import (
     StructureMismatch,
     SwapRequiresEqualParams,
 )
-from .poly import Params
+from .poly import LaurentPoly, Params
 from .surface import (
     EndoMap,
     compose,
+    compose_word,
     equal,
     identity,
+    order_of,
     rotation,
     scaling,
     sigma2,
@@ -366,6 +368,275 @@ def to_endo(x: GroupElement) -> EndoMap:
     if x.r_exp:
         f = compose(rotation(params, x.r_exp), f)
     return f
+
+
+def element_order(x: GroupElement) -> int | None:
+    """The order of x in the group, or None when it is infinite.
+
+    In the infinite cases, x = r^k s2^s m h^e has infinite order exactly when
+    its image in the quotient by the scalings does: when s = e = 0 and
+    k != 0, or when s = e = 1 (s2 h squares to r).  Otherwise x^2 is a
+    scaling, so the order is at most 2ab; a finite group has at most 24
+    elements.
+    """
+    st = x.structure
+    if not st.is_finite and (x.s == x.h == 1 or (x.s == x.h == 0 and x.r_exp)):
+        return None
+    bound = st.dihedral_order * st.mu_order if st.is_finite else 2 * st.mu_order
+    one = identity_element(st)
+    power = x
+    for k in range(1, bound + 1):
+        if power == one:
+            return k
+        power = gmul(power, x)
+    raise EngineError(f"{x} has no order within the group bound {bound}")
+
+
+def _prime_factors(n: int) -> list:
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return primes + ([n] if n > 1 else [])
+
+
+def normal_word(x: GroupElement) -> list:
+    """The atoms of the normal form r^k s2^s m(i, j) h^e of x."""
+    word = []
+    if x.r_exp:
+        word.append(("r", x.r_exp))
+    if x.s:
+        word.append(("s2",))
+    if x.mu != (0, 0):
+        word.append(("m", *x.mu))
+    if x.h:
+        word.append(("h",))
+    return word
+
+
+def word_order(params: Params, word, cap: int) -> int | None:
+    """The order of the map f of ``word``, or None when it is infinite or
+    above cap.
+
+    The order k is taken in the group and proven on the surface with the
+    normal-form word w of the element: w composes to f, w repeated k times
+    composes to the identity, and repeated k/q times it does not, for each
+    prime q dividing k.  The powers of w are prefixes of one word, and every
+    word of the element has the same w, so the word cache composes each
+    once.  Should the proof fail, the answer comes from ``order_of``.
+    """
+    x = from_word(structure_of(params), word)
+    k = element_order(x)
+    if k is None or k > cap:
+        return None
+    f = compose_word(params, word)
+    w = tuple(normal_word(x))
+    one = identity(params)
+
+    def is_identity(j: int) -> bool:
+        return equal(compose_word(params, w * j), one)
+
+    if (
+        equal(compose_word(params, w), f)
+        and is_identity(k)
+        and not any(is_identity(k // q) for q in _prime_factors(k))
+    ):
+        return k
+    return order_of(f, cap)
+
+
+# -- reading a map's element at one point ----------------------------------
+
+#: Maps are read at one point of X(a, b) over the field of PRIME elements:
+#: y1 and y2 are fixed, y3, y4 and every other y_n follow from the exchange
+#: relations.  The image of a group element sends each y_i to t^e * y_n, so
+#: at the point each image is a single power of t times the value of y_n,
+#: and n is found in the point's orbit.
+PRIME = (1 << 61) - 1
+SEED = (0x6A09E667F3BCC90, 0x3C6EF372FE94F82)
+#: The infinite cases index the orbit for n in -_REACH .. _REACH, enough for
+#: every element whose dihedral part has at most _REACH - 4 letters.
+_REACH = 64
+#: Period of the cluster sequence in the finite cases, keyed by a*b.
+_PERIOD = {1: 5, 2: 6, 3: 8}
+
+
+#: (s, e, n) for the four shapes r^k s2^s m h^e: with k = 0, the image of
+#: y_i is a multiple of y_(n + i - 1) when s = e, of y_(n - i + 1) otherwise.
+_WINDOWS = ((0, 0, 1), (1, 0, 3), (0, 1, 4), (1, 1, 0))
+
+
+@lru_cache(maxsize=64)
+def _reading(params: Params) -> tuple:
+    """What ``identify`` needs at one pair: the group structure, y1..y4 at the
+    point, and {y_n at the point: n} over one period in the finite cases and
+    over -_REACH .. _REACH otherwise.  Zero values are left out of the
+    index, and the walk stops where it would divide by one."""
+    p = PRIME
+    period = _PERIOD.get(params.product)
+    lo, hi = (1, period) if period else (-_REACH, _REACH)
+    values = dict(zip((1, 2), SEED))
+
+    def power(n: int) -> int:  # y_n^c + 1, with c the exponent of middle index n
+        return pow(values[n], params.a if n % 2 == 0 else params.b, p) + 1
+
+    for n in range(2, hi):  # y_(n+1) = (y_n^c + 1) / y_(n-1)
+        if not values[n - 1]:
+            break
+        values[n + 1] = power(n) * pow(values[n - 1], -1, p) % p
+    for n in range(1, lo, -1):  # y_(n-1) = (y_n^c + 1) / y_(n+1)
+        if not values[n + 1]:
+            break
+        values[n - 1] = power(n) * pow(values[n + 1], -1, p) % p
+    point = tuple(values[n] for n in (1, 2, 3, 4))
+    return structure_of(params), point, {v: n for n, v in values.items() if v}
+
+
+@lru_cache(maxsize=128)
+def _powers(point: tuple, size: int) -> tuple:
+    """The powers 0 .. size - 1 of each coordinate of the point."""
+    rows = []
+    for y in point:
+        row = [1]
+        for _ in range(size - 1):
+            row.append(row[-1] * y % PRIME)
+        rows.append(row)
+    return tuple(rows)
+
+
+def _read_image(e: LaurentPoly, powers: tuple, orbit: dict):
+    """(k, n) when e takes the value t^k * y_n at the point, else None."""
+    p1, p2, p3, p4 = powers
+    if e.ring.is_integers:
+        slot = 0
+        value = sum(c * p1[i] * p2[j] * p3[k] * p4[l] for (i, j, k, l), c in e.terms())
+    else:
+        acc = [0] * e.ring.m
+        for (i, j, k, l), c in e.terms():
+            mono = p1[i] * p2[j] * p3[k] * p4[l]
+            for slot, cv in enumerate(c):
+                if cv:
+                    acc[slot] += cv * mono
+        slots = [slot for slot, v in enumerate(acc) if v % PRIME]
+        if len(slots) != 1:
+            return None
+        slot = slots[0]
+        value = acc[slot]
+    n = orbit.get(value % PRIME)
+    return None if n is None else (slot, n)
+
+
+def _read_images(f: EndoMap, point: tuple, orbit: dict) -> list:
+    size = 64
+    while True:
+        powers = _powers(point, size)
+        try:
+            return [_read_image(e, powers, orbit) for e in f.images]
+        except IndexError:  # an exponent past the table
+            size *= 4
+
+
+def _scaling_exponents(params: Params, mu, h: int) -> list:
+    """The t-exponents of the images of y1..y4 under m(mu) h^h."""
+    m = params.m
+    u, v = (m // params.a) * mu[0], (m // params.b) * mu[1]
+    exps = [-v % m, u % m, v % m, -u % m]
+    return exps[::-1] if h else exps
+
+
+def identify(f: EndoMap) -> GroupElement | None:
+    """The group element whose map takes the same values as f at the point,
+    or None when there is none; f is then no group element.
+
+    A match is evidence, not proof: callers confirm it with one exact
+    ``equal``.
+    """
+    params = f.params
+    st, point, orbit = _reading(params)
+    reads = _read_images(f, point, orbit)
+    if None in reads:
+        return None
+    period = _PERIOD.get(params.product)
+    ns = [n % period if period else n for _, n in reads]
+    way = ns[1] - ns[0]
+    if period and way % period in (1, period - 1):
+        way = 1 if way % period == 1 else -1
+    if way not in (1, -1):
+        return None
+    for s, h, start in _WINDOWS:
+        if (s == h) != (way == 1) or (h and not st.has_swap):
+            continue
+        # y1 goes to a multiple of y_(start - 2k)
+        if period:
+            ks = [k for k in range(st.r_order) if (start - 2 * k - ns[0]) % period == 0]
+        else:
+            ks = [(start - ns[0]) // 2] if (start - ns[0]) % 2 == 0 else []
+        for k in ks:
+            want = [start - 2 * k + way * i for i in range(4)]
+            if ns != [n % period if period else n for n in want]:
+                continue
+            # the images of y2 and y3 carry t^(m/a i) and t^(m/b j) (swapped by h)
+            ea, eb = reads[2 if h else 1][0], reads[1 if h else 2][0]
+            mu = (ea // (params.m // params.a), eb // (params.m // params.b))
+            if [e for e, _ in reads] != _scaling_exponents(params, mu, h):
+                return None
+            return GroupElement(st, k, s, mu, h)
+    return None
+
+
+# -- factor words ----------------------------------------------------------
+
+_LETTERS = (("s2",), ("s3",))
+
+
+def _key(x: GroupElement) -> tuple:
+    return (x.r_exp, x.s, x.mu, x.h)
+
+
+@lru_cache(maxsize=64)
+def _residue_words(params: Params) -> dict:
+    """{(k, s, mu, h): word} giving each element whose dihedral part has at
+    most five letters its first word in the order: dihedral word (the
+    alternating words, shortest first, those that start with s2 before
+    those with s3), then m(i, j) in row order, then h when a = b.  Every
+    element of a finite group has such a word."""
+    st = structure_of(params)
+    dihedral = [()]
+    for pair in (_LETTERS, _LETTERS[::-1]):
+        dihedral += [(pair * 3)[:n] for n in range(1, 6)]
+    swaps = [(), (("h",),)] if params.a == params.b else [()]
+    table: dict = {}
+    for d in dihedral:
+        for i in range(params.a):
+            for j in range(params.b):
+                m = (("m", i, j),) if i or j else ()
+                for h in swaps:
+                    word = d + m + h
+                    table.setdefault(_key(from_word(st, word)), word)
+    return table
+
+
+def factor_word(x: GroupElement, steps: int) -> list | None:
+    """The word factorize gives for x, or None when it needs more than
+    ``steps`` letters in front of its residue word.
+
+    While the dihedral part of x is longer than five letters, its leftmost
+    letter comes off, as the degree descent takes it off the map; the rest
+    is looked up in the residue words.
+    """
+    table = _residue_words(x.structure.params)
+    prefix: list = []
+    while _key(x) not in table:
+        if len(prefix) == steps:
+            return None
+        # r^k s2^s starts with s2 when k > 0, or k = 0 and s = 1
+        letter = _LETTERS[0] if x.r_exp > 0 or (x.r_exp == 0 and x.s) else _LETTERS[1]
+        prefix.append(letter)
+        x = gmul(from_word(x.structure, [letter]), x)
+    return prefix + list(table[_key(x)])
 
 
 def enumerate_finite(structure: GroupStructure):

@@ -148,7 +148,10 @@ def cmd_aut_factor(args):
 
 def cmd_aut_order(args):
     params, atoms, f = _word_endo(args, " ".join(args.word))
-    order = surf.order_of(f, cap=args.max_word)
+    if args.paper_literal:
+        order = surf.order_of(f, cap=args.max_word)
+    else:
+        order = autgroup.word_order(params, atoms, args.max_word)
     payload = {
         "a": params.a,
         "b": params.b,

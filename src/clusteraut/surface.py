@@ -118,11 +118,9 @@ def total_degree(f: EndoMap) -> int:
 
 #: Bounds on the generator caches, in entries.  The generators hold every
 #: pair with a, b <= 6 (72 keys for sigma3 and its literal variant), the
-#: scalings every (pair, i, j) of those pairs (441).  A residue table can
-#: take megabytes, so only a few pairs keep theirs.
+#: scalings every (pair, i, j) of those pairs (441).
 _PAIRS = 128
 _SCALINGS = 1024
-_TABLES = 8
 
 
 @lru_cache(maxsize=_PAIRS)
@@ -396,51 +394,28 @@ def order_of(f: EndoMap, cap: int = 16) -> int | None:
     return None
 
 
-@lru_cache(maxsize=_TABLES)
-def _residue_candidates(params: Params) -> tuple:
-    """All products (alternating sigma word of length <= 5) o scaling o swap^e,
-    paired with their words.  Covers every finite-type group element and every
-    local-minimum residue of the descent in the infinite cases.  The maps of
-    one table take their tuples from one intern pool."""
-    dihedral = [()]
-    for pair in ((("s2",), ("s3",)), (("s3",), ("s2",))):
-        dihedral += [(pair * 3)[:n] for n in range(1, 6)]
-    pool: dict = {}
-    candidates = []
-    swaps: list[tuple[tuple, EndoMap]] = [((), identity(params))]
-    if params.a == params.b:
-        swaps.append(((("h",),), swap(params)))
-    for dword in dihedral:
-        dend = compose_word(params, dword)
-        for i in range(params.a):
-            for j in range(params.b):
-                if i == 0 and j == 0:
-                    mword: tuple = ()
-                    mend = identity(params)
-                else:
-                    mword = (("m", i, j),)
-                    mend = scaling(params, i, j)
-                for hword, hend in swaps:
-                    endo = compose(dend, compose(mend, hend))
-                    candidates.append((dword + mword + hword, _interned(endo, pool)))
-    return tuple(candidates)
-
-
 def factorize(f: EndoMap, max_word: int = 16) -> list:
     """Express f as a word in s2, s3, m(i, j) and h.
 
-    Greedy descent: pre-compose with whichever of sigma2/sigma3 strictly
-    lowers the total weighted degree of the images; at a local minimum match
-    the residue against the finite candidate set.  The returned word composes
-    back to f (it need not equal any word f was built from).
+    The group element of f is read at one point (``autgroup.identify``) and
+    its word taken from the group (``autgroup.factor_word``); the word is
+    accepted only when it composes back to f exactly.  Maps that are no
+    group element, or whose reading fails that check, go down the degree
+    descent: pre-compose with whichever of sigma2/sigma3 strictly lowers
+    the total weighted degree of the images, and read the result again.
+    The returned word composes back to f (it need not equal any word f was
+    built from).
     """
+    from . import autgroup  # autgroup imports this module
+
     params = f.params
     prefix: list = []
     g = f
     for _ in range(max_word + 1):
-        for word, endo in _residue_candidates(params):
-            if equal(g, endo):
-                return prefix + list(word)
+        x = autgroup.identify(g)
+        word = None if x is None else autgroup.factor_word(x, max_word - len(prefix))
+        if word is not None and equal(compose_word(params, prefix + word), f):
+            return prefix + word
         best = None
         cur = total_degree(g)
         for letter in ("s2", "s3"):
@@ -489,13 +464,19 @@ def _obj_error(detail: str) -> ParseError:
     return ParseError(f"bad map object: {detail}")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def endo_from_obj(obj) -> EndoMap:
     """Rebuild a map from its plain-data form (inverse of endo_to_obj).
 
     Vector lengths fix the coefficient ring: all length 1 means integers,
-    length m >= 2 means the degree-m surrogate ring (length-1 vectors mixed
-    in are read as integer constants of that ring).  Raises ParseError on
-    malformed input.  The relations are always rechecked; ``verified``
+    length m = lcm(a, b) >= 2 means the degree-m surrogate ring (length-1
+    vectors mixed in are read as integer constants of that ring).  Raises
+    ParseError on malformed input: a missing field, a value of the wrong
+    type (booleans are not integers), a negative exponent or a vector of
+    any other length.  The relations are always rechecked; ``verified``
     records the outcome.
     """
     if not isinstance(obj, dict):
@@ -504,7 +485,7 @@ def endo_from_obj(obj) -> EndoMap:
         if field not in obj:
             raise _obj_error(f"missing field {field!r}")
     a, b = obj["a"], obj["b"]
-    if not (isinstance(a, int) and isinstance(b, int)) or a < 1 or b < 1:
+    if not (_is_int(a) and _is_int(b)) or a < 1 or b < 1:
         raise _obj_error("a and b must be positive integers")
     params = Params(a, b)
     images_obj = obj["images"]
@@ -517,24 +498,27 @@ def endo_from_obj(obj) -> EndoMap:
             or len(row) != 2
             or not isinstance(row[0], list)
             or len(row[0]) != 4
-            or not all(isinstance(v, int) for v in row[0])
+            or not all(_is_int(v) for v in row[0])
             or not isinstance(row[1], list)
             or not row[1]
-            or not all(isinstance(v, int) for v in row[1])
+            or not all(_is_int(v) for v in row[1])
         ):
             raise _obj_error(f"bad term entry {row!r}")
+        if any(v < 0 for v in row[0]):
+            raise _obj_error(f"negative exponent in term entry {row!r}")
+        if len(row[1]) not in (1, params.m):
+            raise _obj_error(
+                f"coefficient vector {row[1]!r} must have length 1 or {params.m}"
+            )
 
-    lengths = set()
+    wide = False
     for rows in images_obj:
         if not isinstance(rows, list):
             raise _obj_error("each image must be a list of terms")
         for row in rows:
             check_row(row)
-            lengths.add(len(row[1]))
-    widths = lengths - {1}
-    if len(widths) > 1:
-        raise _obj_error(f"mixed coefficient-vector lengths {sorted(lengths)}")
-    ring = root_surrogate(widths.pop()) if widths else ZZ
+            wide = wide or len(row[1]) > 1
+    ring = root_surrogate(params.m) if wide else ZZ
     images = []
     for rows in images_obj:
         terms = {}

@@ -112,6 +112,31 @@ def test_aut_factor_zero_map(capsys, tmp_path):
         assert (code, out) == (1, "") and err.startswith("error: ZeroPolynomial: ")
 
 
+def test_aut_factor_malformed_maps_exit_two(capsys, tmp_path):
+    """Booleans, negative exponents and coefficient vectors of a length other
+    than 1 or lcm(a, b) are malformed input, not maps."""
+    ident = [[[[1, 0, 0, 0], [1]]], [[[0, 1, 0, 0], [1]]],
+             [[[0, 0, 1, 0], [1]]], [[[0, 0, 0, 1], [1]]]]
+    wide = [[[exps, [1, 0, 0]] for exps, _ in image] for image in ident]
+    cases = [
+        (1, {"a": True, "b": 1, "images": ident}, "a and b must be positive integers"),
+        (2, {"a": 2, "b": 2, "images": ident[:3] + [[[[0, 0, 0, -1], [1]]]]},
+         "negative exponent in term entry [[0, 0, 0, -1], [1]]"),
+        (2, {"a": 2, "b": 2, "images": [[[[1, 0, 0, 0], [True]]]] + ident[1:]},
+         "bad term entry [[1, 0, 0, 0], [True]]"),
+        (2, {"a": 2, "b": 2, "images": wide},
+         "coefficient vector [1, 0, 0] must have length 1 or 2"),
+    ]
+    for a, obj, message in cases:
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(
+            capsys, "aut-factor", "--a", str(a), "--b", str(a), "--map-json", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: bad map object: {message} (line 1, column 0)\n"
+
+
 def test_group_commands(capsys):
     code, payload, _ = run_json(capsys, "group-mul", "--a", "2", "--b", "2", "s2", "s3")
     assert code == 0 and payload["product"] == "r"

@@ -1,12 +1,15 @@
 """Surface elements and endomorphisms: normal-form confluence against an
 independent rewriter, composition against rational-point evaluation, word
 algebra, factorization, and serialization."""
+import json
 import random
 import sys
 import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusteraut import autgroup, cluster, rings, surface
 from clusteraut.budget import limit
@@ -363,9 +366,89 @@ def test_serialization_rejects_malformed():
         '{"a": 2, "b": 2, "images": [[], [], []]}',
         '{"a": 2, "b": 2, "images": [[[[0,0,0,0],[1,0]],[[1,0,0,0],[1,0,0]]], [], [], []]}',
         "no",
+        # booleans are not integers, exponents are not negative, and a
+        # coefficient vector has length 1 or m = lcm(a, b)
+        '{"a": true, "b": 1, "images": [[], [], [], []]}',
+        '{"a": 2, "b": false, "images": [[], [], [], []]}',
+        '{"a": 2, "b": 2, "images": [[[[1,0,0,false],[1]]], [], [], []]}',
+        '{"a": 2, "b": 2, "images": [[[[1,0,0,0],[true]]], [], [], []]}',
+        '{"a": 2, "b": 2, "images": [[[[1,0,0,-1],[1]]], [], [], []]}',
+        '{"a": 2, "b": 2, "images": [[[[1,0,0,0],[1,0,0]]], [], [], []]}',
+        '{"a": 2, "b": 3, "images": [[[[1,0,0,0],[1,0]]], [], [], []]}',
+        '{"a": 1, "b": 1, "images": [[[[1,0,0,0],[1,0]]], [], [], []]}',
     ):
         with pytest.raises(ParseError):
             endo_from_json(blob)
+
+
+def _json_values():
+    scalars = st.one_of(
+        st.booleans(), st.none(), st.integers(-3, 4), st.floats(allow_nan=False),
+        st.text(max_size=3),
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=5)
+        | st.dictionaries(st.sampled_from(["a", "b", "images", "x"]), inner, max_size=4),
+        max_leaves=30,
+    )
+
+
+@st.composite
+def _broken_map_objects(draw):
+    """A well-formed map object with exactly one fault put in."""
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    m = Params(a, b).m
+    row = st.tuples(
+        st.lists(st.integers(0, 2), min_size=4, max_size=4),
+        st.lists(st.integers(-2, 2), min_size=1, max_size=1)
+        | st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+    ).map(list)
+    images = draw(st.lists(st.lists(row, min_size=1, max_size=3), min_size=4, max_size=4))
+    obj = {"a": a, "b": b, "images": images}
+    bad = st.sampled_from([True, False, 1.0, "1", None, [], {}])
+    i = draw(st.integers(0, 3))
+    terms = images[i]
+    j = draw(st.integers(0, len(terms) - 1))
+    fault = draw(st.sampled_from(
+        ["a", "b", "drop", "images", "image", "row", "exponent", "negative",
+         "coefficient", "length"]
+    ))
+    if fault in ("a", "b"):
+        obj[fault] = draw(bad | st.integers(-2, 0))
+    elif fault == "drop":
+        del obj[draw(st.sampled_from(["a", "b", "images"]))]
+    elif fault == "images":
+        obj["images"] = draw(st.sampled_from([images[:3], images + [[]], {}, 4]))
+    elif fault == "image":
+        images[i] = draw(bad.filter(lambda v: v != []))
+    elif fault == "row":
+        terms[j] = draw(st.sampled_from([terms[j][:1], terms[j] + [[1]], 5, True]))
+    elif fault in ("exponent", "negative"):
+        terms[j][0][draw(st.integers(0, 3))] = -1 if fault == "negative" else draw(bad)
+    elif fault == "coefficient":
+        terms[j][1][draw(st.integers(0, len(terms[j][1]) - 1))] = draw(bad)
+    else:
+        n = draw(st.sampled_from([0, m + 1, m + 2]).filter(lambda n: n not in (1, m)))
+        terms[j][1] = [1] * n
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=_broken_map_objects())
+def test_broken_map_objects_raise_parse_error(obj):
+    with pytest.raises(ParseError):
+        endo_from_json(json.dumps(obj))
+
+
+@settings(max_examples=100, deadline=None)
+@given(obj=_json_values())
+def test_any_json_value_maps_or_raises_parse_error(obj):
+    try:
+        f = endo_from_json(json.dumps(obj))
+    except ParseError:
+        return
+    assert isinstance(f, EndoMap)
 
 
 def test_serialization_verify_flag():
@@ -543,25 +626,6 @@ def test_interned_maps_equal_fresh_ones():
                 for k, c in e.terms():
                     for value in (k, c) if isinstance(c, tuple) else (k,):
                         assert seen.setdefault(value, value) is value
-        # the residue table: the same maps as the hand-rolled chains, interned
-        table = surface._residue_candidates(params)
-        letters = [("s2",), ("s3",)]
-        folds = {}
-        seen = {}
-        for word, endo in table:
-            dihedral = tuple(x for x in word if x in letters)
-            if dihedral not in folds:
-                folds[dihedral] = fold(params, dihedral)
-            rest = word[len(dihedral):]
-            mend = scaling(params, *rest[0][1:]) if rest and rest[0][0] == "m" else identity(params)
-            hend = swap(params) if rest and rest[-1] == ("h",) else identity(params)
-            want = compose(folds[dihedral], compose(mend, hend))
-            assert same_terms(endo, want)
-            for e in endo.images:
-                for k, c in e.terms():
-                    for value in (k, c) if isinstance(c, tuple) else (k,):
-                        assert seen.setdefault(value, value) is value
-        assert len(table) == 11 * a * b * (2 if a == b else 1)
 
 
 def test_rotation_atoms_match_their_letters():
@@ -587,7 +651,8 @@ def test_rotation_atoms_match_their_letters():
 def test_generator_caches_are_bounded():
     caches = (
         surface.identity, surface.sigma2, surface.sigma3, surface.scaling,
-        surface.swap, surface._residue_candidates, autgroup.structure_of, rings._rs_ops,
+        surface.swap, autgroup.structure_of, autgroup._residue_words, autgroup._reading,
+        rings._rs_ops,
     )
     for fn in caches:
         fn.cache_clear()
@@ -601,12 +666,12 @@ def test_generator_caches_are_bounded():
         scaling(Params(1, 1), i, 0)
     for m in range(1, rings._rs_ops.cache_info().maxsize + 2):
         root_surrogate(m).ops()
-    # the cheapest residue tables, one more than the bound
-    cheap = ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (4, 1), (1, 4), (5, 1), (2, 2))
-    for a, b in cheap[: surface._TABLES + 1]:
-        factorize(identity(Params(a, b)))
+    # the group's residue words and point readings are kept per pair, as
+    # the structures are
     for a in range(1, autgroup.structure_of.cache_info().maxsize + 2):
         autgroup.structure_of(Params(a, 1))
+        autgroup._residue_words(Params(a, 1))
+        autgroup._reading(Params(a, 1))
     for fn in caches:
         info = fn.cache_info()
         assert info.currsize == info.maxsize, fn.__name__
