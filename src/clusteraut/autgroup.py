@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import gcd
 
 from .errors import (
     ConjugationNotScaling,
@@ -20,7 +21,8 @@ from .errors import (
     StructureMismatch,
     SwapRequiresEqualParams,
 )
-from .poly import LaurentPoly, Params
+from .cluster import expected_period
+from .poly import Params
 from .surface import (
     EndoMap,
     compose,
@@ -34,10 +36,6 @@ from .surface import (
     sigma3,
     swap,
 )
-
-# order of r = s2 s3 in the three finite cases, keyed by a*b
-_FINITE_R_ORDER = {1: 5, 2: 3, 3: 4}
-
 
 def _case_name(a: int, b: int) -> str:
     if (a, b) == (1, 1):
@@ -145,7 +143,10 @@ def structure_of(params: Params) -> GroupStructure:
     """Case descriptor for the parameter pair, with action tables filled in."""
     a, b = params.a, params.b
     tables = derive_action_tables(params)
-    r_order = _FINITE_R_ORDER.get(a * b)
+    # r = s2 s3 shifts indices by 2, so in the finite cases its order is
+    # the period over gcd(period, 2)
+    period = expected_period(params)
+    r_order = None if period is None else period // gcd(period, 2)
     return GroupStructure(
         params=params,
         case=_case_name(a, b),
@@ -460,8 +461,6 @@ SEED = (0x6A09E667F3BCC90, 0x3C6EF372FE94F82)
 #: The infinite cases index the orbit for n in -_REACH .. _REACH, enough for
 #: every element whose dihedral part has at most _REACH - 4 letters.
 _REACH = 64
-#: Period of the cluster sequence in the finite cases, keyed by a*b.
-_PERIOD = {1: 5, 2: 6, 3: 8}
 
 
 #: (s, e, n) for the four shapes r^k s2^s m h^e: with k = 0, the image of
@@ -476,7 +475,7 @@ def _reading(params: Params) -> tuple:
     over -_REACH .. _REACH otherwise.  Zero values are left out of the
     index, and the walk stops where it would divide by one."""
     p = PRIME
-    period = _PERIOD.get(params.product)
+    period = expected_period(params)
     lo, hi = (1, period) if period else (-_REACH, _REACH)
     values = dict(zip((1, 2), SEED))
 
@@ -495,48 +494,33 @@ def _reading(params: Params) -> tuple:
     return structure_of(params), point, {v: n for n, v in values.items() if v}
 
 
-@lru_cache(maxsize=128)
-def _powers(point: tuple, size: int) -> tuple:
-    """The powers 0 .. size - 1 of each coordinate of the point."""
-    rows = []
-    for y in point:
-        row = [1]
-        for _ in range(size - 1):
-            row.append(row[-1] * y % PRIME)
-        rows.append(row)
-    return tuple(rows)
+class _Powers(dict):
+    """y^e mod PRIME by exponent e, each computed on first use."""
 
+    __slots__ = ("y",)
 
-def _read_image(e: LaurentPoly, powers: tuple, orbit: dict):
-    """(k, n) when e takes the value t^k * y_n at the point, else None."""
-    p1, p2, p3, p4 = powers
-    if e.ring.is_integers:
-        slot = 0
-        value = sum(c * p1[i] * p2[j] * p3[k] * p4[l] for (i, j, k, l), c in e.terms())
-    else:
-        acc = [0] * e.ring.m
-        for (i, j, k, l), c in e.terms():
-            mono = p1[i] * p2[j] * p3[k] * p4[l]
-            for slot, cv in enumerate(c):
-                if cv:
-                    acc[slot] += cv * mono
-        slots = [slot for slot, v in enumerate(acc) if v % PRIME]
-        if len(slots) != 1:
-            return None
-        slot = slots[0]
-        value = acc[slot]
-    n = orbit.get(value % PRIME)
-    return None if n is None else (slot, n)
+    def __init__(self, y: int):
+        super().__init__()
+        self.y = y
+
+    def __missing__(self, e: int) -> int:
+        value = self[e] = pow(self.y, e, PRIME)
+        return value
 
 
 def _read_images(f: EndoMap, point: tuple, orbit: dict) -> list:
-    size = 64
-    while True:
-        powers = _powers(point, size)
-        try:
-            return [_read_image(e, powers, orbit) for e in f.images]
-        except IndexError:  # an exponent past the table
-            size *= 4
+    """For each image e of f, (k, n) when e takes the value t^k * y_n at the
+    point, else None."""
+    p1, p2, p3, p4 = (_Powers(y) for y in point)
+    reads = []
+    for e in f.images:
+        acc: dict = {}  # power of t -> value of its coefficient at the point
+        for (i, j, k, l, s), c in e.terms():
+            acc[s] = acc.get(s, 0) + c * p1[i] * p2[j] * p3[k] * p4[l]
+        slots = [s for s, v in acc.items() if v % PRIME]
+        n = orbit.get(acc[slots[0]] % PRIME) if len(slots) == 1 else None
+        reads.append(None if n is None else (slots[0], n))
+    return reads
 
 
 def _scaling_exponents(params: Params, mu, h: int) -> list:
@@ -559,7 +543,7 @@ def identify(f: EndoMap) -> GroupElement | None:
     reads = _read_images(f, point, orbit)
     if None in reads:
         return None
-    period = _PERIOD.get(params.product)
+    period = expected_period(params)
     ns = [n % period if period else n for _, n in reads]
     way = ns[1] - ns[0]
     if period and way % period in (1, period - 1):

@@ -1,12 +1,14 @@
 """Laurent polynomials in y1..y4 with exact coefficients.
 
 A LaurentPoly is an immutable sparse polynomial: a coefficient ring plus a
-term map from exponent 4-tuples to nonzero values.  Arithmetic goes through
-the kernel module, which enforces the term budget from
-:mod:`clusteraut.budget`.
+term map from keys (e1, e2, e3, e4, k) to nonzero ints, the term
+c * t^k * y1^e1 y2^e2 y3^e3 y4^e4.  Over the integers k is 0; over the
+surrogate ring Z[t]/(t^m - 1), 0 <= k < m.  Arithmetic goes through the
+kernel module, which enforces the term budget from :mod:`clusteraut.budget`.
 
 The weighted order used everywhere gives y1, y2, y3, y4 the weights
-(a, 1, 1, b); ties are broken lexicographically on (e1, e4, e2, e3).
+(a, 1, 1, b); ties are broken lexicographically on (e1, e4, e2, e3), then
+by the lower power of t.
 """
 from __future__ import annotations
 
@@ -21,11 +23,14 @@ from .errors import (
     NegativeExponent,
     NegativePower,
     NotDivisible,
+    RingMismatch,
     ZeroPolynomial,
 )
-from .rings import ZZ, CoeffRing, join, promote_value
+from .rings import ZZ, CoeffRing, join
 
 Exponents = tuple[int, int, int, int]
+#: (e1, e2, e3, e4, k): the exponents of y1..y4 and the power of t
+Key = tuple[int, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -62,11 +67,8 @@ class LaurentPoly:
     __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: CoeffRing, terms: dict):
-        """Build from a raw term map; zero coefficients are dropped.
-
-        Values must already be valid for ``ring`` (use from_terms for
-        unvalidated input).
-        """
+        """Build from a raw term map: int coefficients, no zeros, and powers
+        of t in 0 .. m - 1 (use from_terms for unvalidated input)."""
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", terms)
 
@@ -77,58 +79,57 @@ class LaurentPoly:
 
     @classmethod
     def from_terms(cls, ring: CoeffRing, terms) -> "LaurentPoly":
-        """Validating constructor from any (exponents, coefficient) mapping."""
+        """Validating constructor from any (key, int coefficient) mapping.
+
+        A key is (e1, e2, e3, e4, k); k is taken mod m, and must be 0 over
+        the integers.  Like terms are added and zeros dropped.
+        """
         clean: dict = {}
-        ops = ring.ops()
         items = terms.items() if isinstance(terms, dict) else terms
-        for exps, value in items:
-            exps = tuple(exps)
-            if len(exps) != 4 or not all(isinstance(e, int) for e in exps):
-                raise ValueError(f"bad exponent vector {exps!r}")
-            value = ring.coerce(value)
-            if exps in clean:
-                value = (
-                    clean[exps] + value if ops is None else ops.add(clean[exps], value)
-                )
-            if ring.is_zero(value):
-                clean.pop(exps, None)
+        for key, value in items:
+            key = tuple(key)
+            if len(key) != 5 or not all(isinstance(e, int) for e in key):
+                raise ValueError(f"bad key {key!r}")
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise RingMismatch(f"coefficient {value!r} is not an integer")
+            if ring.is_integers and key[4]:
+                raise RingMismatch("the integer ring has no t")
+            s = clean.get(key, 0) + value
+            if s:
+                clean[key] = s
             else:
-                clean[exps] = value
-        return cls(ring, clean)
+                clean.pop(key, None)
+        return cls(ring, K.wrap_t(clean, ring.m))
 
     @classmethod
     def zero(cls, ring: CoeffRing = ZZ) -> "LaurentPoly":
         return cls(ring, {})
 
     @classmethod
-    def const(cls, value, ring: CoeffRing = ZZ) -> "LaurentPoly":
-        value = ring.coerce(value)
-        if ring.is_zero(value):
-            return cls(ring, {})
-        return cls(ring, {(0, 0, 0, 0): value})
+    def const(cls, value: int, ring: CoeffRing = ZZ) -> "LaurentPoly":
+        return cls.from_terms(ring, [((0, 0, 0, 0, 0), value)])
 
     @classmethod
     def one(cls, ring: CoeffRing = ZZ) -> "LaurentPoly":
-        return cls.const(1, ring)
+        return cls(ring, {(0, 0, 0, 0, 0): 1})
 
     @classmethod
     def variable(cls, i: int, ring: CoeffRing = ZZ) -> "LaurentPoly":
         """The generator y_i, i in 1..4."""
         if i not in (1, 2, 3, 4):
             raise ValueError("variable index must be 1..4")
-        exps = tuple(1 if j == i - 1 else 0 for j in range(4))
-        return cls(ring, {exps: ring.one})
+        key = tuple(1 if j == i - 1 else 0 for j in range(5))
+        return cls(ring, {key: 1})
 
     @classmethod
-    def monomial(
-        cls, exps, coeff=1, ring: CoeffRing = ZZ
-    ) -> "LaurentPoly":
-        return cls.from_terms(ring, [(tuple(exps), coeff)])
+    def monomial(cls, key, coeff: int = 1, ring: CoeffRing = ZZ) -> "LaurentPoly":
+        """coeff * t^k * y^e for a key (e1, e2, e3, e4, k)."""
+        return cls.from_terms(ring, [(key, coeff)])
 
     # -- inspection --------------------------------------------------------
 
-    def terms(self) -> Iterator[tuple[Exponents, object]]:
-        """Iterate (exponents, raw coefficient value) pairs (unspecified order)."""
+    def terms(self) -> Iterator[tuple[Key, int]]:
+        """Iterate (key, coefficient) pairs (unspecified order)."""
         return iter(self._terms.items())
 
     def term_map(self) -> dict:
@@ -143,7 +144,8 @@ class LaurentPoly:
         return not self._terms
 
     def has_negative_exponents(self) -> bool:
-        return any(e < 0 for exps in self._terms for e in exps)
+        # powers of t are never negative
+        return any(e < 0 for key in self._terms for e in key)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -161,43 +163,37 @@ class LaurentPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce_pair(self, other: "LaurentPoly"):
-        ring = join(self.ring, other.ring)
-        return ring, embed(self, ring)._terms, embed(other, ring)._terms
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        ring, ta, tb = self._coerce_pair(other)
-        return LaurentPoly(ring, K.add_terms(ta, tb, ring.ops()))
+        ring = join(self.ring, other.ring)
+        return LaurentPoly(ring, K.add_terms(self._terms, other._terms))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        ring, ta, tb = self._coerce_pair(other)
-        ops = ring.ops()
-        return LaurentPoly(ring, K.add_terms(ta, K.neg_terms(tb, ops), ops))
+        ring = join(self.ring, other.ring)
+        return LaurentPoly(
+            ring, K.add_terms(self._terms, K.neg_terms(other._terms))
+        )
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.ring, K.neg_terms(self._terms, self.ring.ops()))
+        return LaurentPoly(self.ring, K.neg_terms(self._terms))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        ring, ta, tb = self._coerce_pair(other)
-        return LaurentPoly(
-            ring, K.mul_terms(ta, tb, ring.ops(), current_max_terms())
-        )
+        ring = join(self.ring, other.ring)
+        terms = K.mul_terms(self._terms, other._terms, current_max_terms(), ring.m)
+        return LaurentPoly(ring, terms)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             raise NegativePower(f"power {k} is negative")
-        return LaurentPoly(
-            self.ring,
-            K.pow_terms(self._terms, k, self.ring.ops(), current_max_terms()),
-        )
+        terms = K.pow_terms(self._terms, k, current_max_terms(), self.ring.m)
+        return LaurentPoly(self.ring, terms)
 
 
 # canonical generators over the integers
@@ -211,10 +207,9 @@ def embed(p: LaurentPoly, ring: CoeffRing) -> LaurentPoly:
     """Reinterpret p in a larger ring (integers embed into any surrogate ring)."""
     if p.ring == ring:
         return p
-    terms = {
-        exps: promote_value(v, p.ring, ring) for exps, v in p._terms.items()
-    }
-    return LaurentPoly(ring, terms)
+    if not p.ring.is_integers:
+        raise RingMismatch(f"no embedding of degree {p.ring.m} into {ring}")
+    return LaurentPoly(ring, p._terms)
 
 
 def weighted_degree(p: LaurentPoly, params: Params) -> int:
@@ -224,13 +219,13 @@ def weighted_degree(p: LaurentPoly, params: Params) -> int:
     return K.max_weighted_degree(p._terms, params.weights)
 
 
-def leading_term(p: LaurentPoly, params: Params) -> tuple[Exponents, object]:
-    """The order-maximal (exponents, coefficient) pair of p; undefined for 0."""
+def leading_term(p: LaurentPoly, params: Params) -> tuple[Key, int]:
+    """The order-maximal (key, coefficient) pair of p; undefined for 0."""
     if p.is_zero():
         raise ZeroPolynomial("leading term of the zero polynomial")
     w = params.weights
-    exps = max(p._terms, key=lambda e: K.order_key(e, w))
-    return exps, p._terms[exps]
+    key = max(p._terms, key=lambda e: K.order_key(e, w))
+    return key, p._terms[key]
 
 
 def exact_div(p: LaurentPoly, q: LaurentPoly, params: Params) -> LaurentPoly:
@@ -242,17 +237,14 @@ def exact_div(p: LaurentPoly, q: LaurentPoly, params: Params) -> LaurentPoly:
     if q.is_zero():
         raise DivisionByZero("exact division by zero")
     ring = join(p.ring, q.ring)
-    tp = embed(p, ring)._terms
-    tq = embed(q, ring)._terms
     if ring.is_integers:
-        terms = K.exact_div_terms(tp, tq, params.weights, current_max_terms())
+        terms = K.exact_div_terms(p._terms, q._terms, params.weights, current_max_terms())
         return LaurentPoly(ring, terms)
-    if len(tq) == 1:
-        (exps, coeff), = tq.items()
-        if ring.is_monomial_unit(coeff):
-            inv = ring.unit_inverse(coeff)
-            back = tuple(-e for e in exps)
-            return LaurentPoly(ring, K.scale_terms(tp, back, inv, ring.ops()))
+    if len(q._terms) == 1:
+        (key, coeff), = q._terms.items()
+        if coeff in (1, -1):
+            back = tuple(-e for e in key)
+            return LaurentPoly(ring, K.wrap_t(K.scale_terms(p._terms, back, coeff), ring.m))
     raise NotDivisible(
         "surrogate-ring division supports only unit monomial divisors"
     )
@@ -271,9 +263,8 @@ def substitute(p: LaurentPoly, images) -> LaurentPoly:
     ring = p.ring
     for q in images:
         ring = join(ring, q.ring)
-    tp = embed(p, ring)._terms
-    tis = tuple(embed(q, ring)._terms for q in images)
-    terms = K.substitute_terms(tp, tis, ring.ops(), current_max_terms())
+    tis = tuple(q._terms for q in images)
+    terms = K.substitute_terms(p._terms, tis, current_max_terms(), m=ring.m)
     return LaurentPoly(ring, terms)
 
 

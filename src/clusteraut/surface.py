@@ -43,7 +43,7 @@ def normal_form(params: Params, p: LaurentPoly) -> LaurentPoly:
     if p.has_negative_exponents():
         raise NegativeExponent("normal form requires nonnegative exponents")
     terms = K.normal_form_terms(
-        p.term_map(), params.a, params.b, p.ring.ops(), current_max_terms()
+        p.term_map(), params.a, params.b, p.ring.m, current_max_terms()
     )
     return LaurentPoly(p.ring, terms)
 
@@ -189,10 +189,10 @@ def scaling(params: Params, i: int, j: int) -> EndoMap:
     mu_k = (m // a) * (i % a)
     nu_k = (m // b) * (j % b)
     images = [
-        LaurentPoly.monomial((1, 0, 0, 0), ring.t_power(-nu_k), ring),
-        LaurentPoly.monomial((0, 1, 0, 0), ring.t_power(mu_k), ring),
-        LaurentPoly.monomial((0, 0, 1, 0), ring.t_power(nu_k), ring),
-        LaurentPoly.monomial((0, 0, 0, 1), ring.t_power(-mu_k), ring),
+        LaurentPoly.monomial((1, 0, 0, 0, -nu_k), ring=ring),
+        LaurentPoly.monomial((0, 1, 0, 0, mu_k), ring=ring),
+        LaurentPoly.monomial((0, 0, 1, 0, nu_k), ring=ring),
+        LaurentPoly.monomial((0, 0, 0, 1, -mu_k), ring=ring),
     ]
     return EndoMap.make(params, images)
 
@@ -258,18 +258,15 @@ def compose(f: EndoMap, g: EndoMap, caches=None) -> EndoMap:
         raise ParamsMismatch(f"maps for {f.params} and {g.params}")
     params = f.params
     ring = join(f.ring, g.ring)
-    ops = ring.ops()
-    f_maps = tuple(embed(e, ring).term_map() for e in f.images)
+    f_maps = tuple(e.term_map() for e in f.images)
     if caches is None:
-        caches = K.new_power_caches(ops)
+        caches = K.new_power_caches()
     cap = current_max_terms()
     out = []
-    ab = (params.a, params.b)
+    a, b, m = params.a, params.b, ring.m
     for e in g.images:
-        tp = embed(e, ring).term_map()
-        sub = K.substitute_terms(tp, f_maps, ops, cap, caches, nf=ab)
-        nf = K.normal_form_terms(sub, params.a, params.b, ops, cap)
-        out.append(LaurentPoly(ring, nf))
+        sub = K.substitute_terms(e.term_map(), f_maps, cap, caches, (a, b), m)
+        out.append(LaurentPoly(ring, K.normal_form_terms(sub, a, b, m, cap)))
     return EndoMap(params, tuple(out), f.verified and g.verified)
 
 
@@ -281,18 +278,14 @@ WORD_CACHE_TERMS = 1 << 15
 
 
 def _interned(f: EndoMap, pool: dict) -> EndoMap:
-    """f with its exponent tuples and surrogate coefficient tuples replaced
-    by the equal tuples held in ``pool`` (added there if new), dict order
-    kept."""
+    """f with its key tuples replaced by the equal tuples held in ``pool``
+    (added there if new), dict order kept."""
     intern = pool.setdefault
-    images = []
-    for e in f.images:
-        if e.ring.is_integers:
-            terms = {intern(k, k): c for k, c in e.terms()}
-        else:
-            terms = {intern(k, k): intern(c, c) for k, c in e.terms()}
-        images.append(LaurentPoly(e.ring, terms))
-    return EndoMap(f.params, tuple(images), f.verified)
+    images = tuple(
+        LaurentPoly(e.ring, {intern(k, k): c for k, c in e.terms()})
+        for e in f.images
+    )
+    return EndoMap(f.params, images, f.verified)
 
 
 class _WordCache:
@@ -437,16 +430,18 @@ def factorize(f: EndoMap, max_word: int = 16) -> list:
 
 def term_rows(p: LaurentPoly, params: Params) -> list:
     """p as a list of [[e1, e2, e3, e4], coefficient-vector] pairs in
-    descending weighted order.  Integer coefficients become length-1
-    vectors; coefficients over the degree-m surrogate ring keep their full
-    length-m vector."""
+    descending weighted order.  Over the integers the vectors have length
+    1; over the degree-m surrogate ring, length m, entry k holding the
+    coefficient of t^k."""
     tp = p.term_map()
     weights = params.weights
-    rows = []
+    rows: dict = {}  # the terms of one monomial are adjacent in the order
     for key in sorted(tp, key=lambda k: K.order_key(k, weights), reverse=True):
-        c = tp[key]
-        rows.append([list(key), [c] if isinstance(c, int) else list(c)])
-    return rows
+        row = rows.get(key[:4])
+        if row is None:
+            row = rows[key[:4]] = [list(key[:4]), [0] * (p.ring.m or 1)]
+        row[1][key[4]] = tp[key]
+    return list(rows.values())
 
 
 def endo_to_obj(f: EndoMap) -> dict:
@@ -521,12 +516,14 @@ def endo_from_obj(obj) -> EndoMap:
     ring = root_surrogate(params.m) if wide else ZZ
     images = []
     for rows in images_obj:
-        terms = {}
+        seen = set()
+        terms = []
         for exps, vec in rows:
-            key = tuple(exps)
-            if key in terms:
-                raise _obj_error(f"duplicate exponent {key}")
-            terms[key] = ring.coerce(vec[0] if len(vec) == 1 else tuple(vec))
+            exps = tuple(exps)
+            if exps in seen:
+                raise _obj_error(f"duplicate exponent {exps}")
+            seen.add(exps)
+            terms += [(exps + (k,), c) for k, c in enumerate(vec)]
         images.append(LaurentPoly.from_terms(ring, terms))
     return EndoMap.make(params, images)
 

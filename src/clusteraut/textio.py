@@ -11,8 +11,8 @@ juxtaposition:
 Exponents may be negative.  The coefficient 't^k' denotes the order-m root
 of unity surrogate and is only legal when parsing over a surrogate ring.
 Whitespace (including newlines) is insignificant.  Canonical printing
-orders terms by the weighted degree, descending, and splits a surrogate
-coefficient vector into one textual term per power of t (ascending).
+orders terms by the weighted degree, descending, and prints the terms of
+one monomial in ascending powers of t.
 
 Words in the generators are whitespace-separated tokens
 
@@ -121,8 +121,7 @@ def _parse_exponent(toks: list, pos: int) -> tuple[int, int]:
 
 def _parse_term(toks: list, pos: int, ring: CoeffRing) -> tuple:
     coeff = 1
-    t_pow = None
-    exps = [0, 0, 0, 0]
+    key = [0, 0, 0, 0, 0]  # exponents of y1..y4, then the power of t
     while True:
         tok = toks[pos]
         if tok.kind == "int":
@@ -139,13 +138,13 @@ def _parse_term(toks: list, pos: int, ring: CoeffRing) -> tuple:
             k = 1
             if toks[pos].kind == "^":
                 pos, k = _parse_exponent(toks, pos + 1)
-            t_pow = k if t_pow is None else t_pow + k
+            key[4] += k
         elif tok.kind == "var":
             pos += 1
             k = 1
             if toks[pos].kind == "^":
                 pos, k = _parse_exponent(toks, pos + 1)
-            exps[tok.value - 1] += k
+            key[tok.value - 1] += k
         else:
             raise ParseError(
                 f"expected a term, found {_describe(tok)}", tok.line, tok.col
@@ -155,7 +154,7 @@ def _parse_term(toks: list, pos: int, ring: CoeffRing) -> tuple:
             pos += 1
         elif nxt.kind not in ("int", "t", "var"):
             break
-    return pos, tuple(exps), coeff, t_pow
+    return pos, tuple(key), coeff
 
 
 def parse_poly(src: str, ring: CoeffRing = ZZ) -> LaurentPoly:
@@ -180,13 +179,8 @@ def parse_poly(src: str, ring: CoeffRing = ZZ) -> LaurentPoly:
             raise ParseError(
                 f"expected '+' or '-', found {_describe(tok)}", tok.line, tok.col
             )
-        pos, exps, coeff, t_pow = _parse_term(toks, pos, ring)
-        coeff *= sign
-        if t_pow is None:
-            value = ring.coerce(coeff)
-        else:
-            value = tuple(coeff * u for u in ring.t_power(t_pow))
-        pairs.append((exps, value))
+        pos, key, coeff = _parse_term(toks, pos, ring)
+        pairs.append((key, sign * coeff))
         first = False
     return LaurentPoly.from_terms(ring, pairs)
 
@@ -200,35 +194,31 @@ def _format_monomial(exps) -> list:
     return parts
 
 
-def _format_piece(coeff: int, t_pow: int | None, exps) -> tuple[int, str]:
+def _format_piece(coeff: int, key) -> tuple[int, str]:
     """One textual term: returns (sign, body without sign)."""
     sign = 1 if coeff >= 0 else -1
     mag = abs(coeff)
     parts = []
-    if t_pow is not None and t_pow != 0:
+    t_pow = key[4]
+    if t_pow:
         parts.append("t" if t_pow == 1 else f"t^{t_pow}")
-    parts.extend(_format_monomial(exps))
+    parts.extend(_format_monomial(key[:4]))
     if mag != 1 or not parts:
         parts.insert(0, str(mag))
     return sign, "*".join(parts)
 
 
 def print_poly(p: LaurentPoly, params: Params) -> str:
-    """Canonical text: terms in descending weighted order; a surrogate
-    coefficient vector prints as one term per nonzero power of t."""
+    """Canonical text: terms in descending weighted order, the terms of one
+    monomial in ascending powers of t."""
     weights = params.weights
     tp = p.term_map()
     if not tp:
         return "0"
-    pieces = []
-    for exps in sorted(tp, key=lambda k: K.order_key(k, weights), reverse=True):
-        value = tp[exps]
-        if isinstance(value, int):
-            pieces.append(_format_piece(value, None, exps))
-        else:
-            for k, c in enumerate(value):
-                if c:
-                    pieces.append(_format_piece(c, k, exps))
+    pieces = [
+        _format_piece(tp[key], key)
+        for key in sorted(tp, key=lambda k: K.order_key(k, weights), reverse=True)
+    ]
     out = []
     for n, (sign, body) in enumerate(pieces):
         if n == 0:

@@ -291,6 +291,56 @@ def test_cluster_and_period_argv_end_cleanly(command, a, b, n, n_max, max_terms)
         assert call_main(argv) == result
 
 
+WORD_ATOMS = st.sampled_from([
+    "s2", "s3", "h", "r", "r^2", "r^-3", "id", "sp(0)", "sp(3)", "m(1,0)", "m(2,-1)",
+    "r^100000000000", "sp(-99999999999)", "m(7777777777,3)",
+])
+MALFORMED = st.sampled_from(
+    ["s4", "m(1)", "m(1,", "sp", "sp(x)", "r^", "q", "(", "m(a,b)", "s2s3", "-s2", "--a"]
+) | st.text("s23hmpr()^,-0189id ", max_size=6)
+# half of the words are well formed, so that most commands get to compute
+word_texts = (
+    st.lists(WORD_ATOMS, max_size=6) | st.lists(WORD_ATOMS | MALFORMED, max_size=5)
+).map(" ".join)
+
+
+def call_main_or_exit(argv):
+    """call_main, with argparse's usage errors (SystemExit) read as their
+    exit code."""
+    try:
+        return call_main(argv)
+    except SystemExit as exc:
+        return exc.code, "", ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["aut-compose", "aut-order", "aut-factor", "group-mul"]),
+    a=st.integers(1, 3),
+    b=st.integers(1, 3),
+    words=st.tuples(word_texts, word_texts),
+    max_terms=st.integers(1, 300),
+    literal=st.booleans(),
+    json_out=st.booleans(),
+)
+def test_word_command_argv_end_cleanly(command, a, b, words, max_terms, literal, json_out):
+    """Random and malformed words end in a definite exit code, never in a
+    traceback; argparse's own usage errors exit 2 as well."""
+    argv = [command, "--a", str(a), "--b", str(b), "--max-terms", str(max_terms)]
+    if command == "group-mul":
+        argv += list(words)
+    else:
+        argv += words[0].split()
+        if literal:
+            argv.append("--paper-literal")
+    if json_out:
+        argv += ["--format", "json"]
+    code, out, _ = call_main_or_exit(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 0 and json_out:
+        json.loads(out)
+
+
 def test_json_output_is_byte_stable(capsys):
     outputs = set()
     for _ in range(3):
@@ -298,6 +348,78 @@ def test_json_output_is_byte_stable(capsys):
                             "s2", "s3", "s2", "--format", "json")
         outputs.add(out)
     assert len(outputs) == 1
+
+
+# stdout of aut-compose for scaling words, text and JSON, as recorded before
+# the power of t moved from coefficient vectors into the term keys
+GOLDEN = {
+    ("3", "2", "m(1,1) s2"): (
+        "y1 -> t^3*y3\ny2 -> t^2*y2\ny3 -> t^3*y1\n"
+        "y4 -> t^4*y1^2*y4 - t^4*y2^5 - 2*t^4*y2^2\nverified: yes\n",
+        '{"a": 3, "b": 2, "images": [[[[0, 0, 1, 0], [0, 0, 0, 1, 0, 0]]], '
+        '[[[0, 1, 0, 0], [0, 0, 1, 0, 0, 0]]], [[[1, 0, 0, 0], [0, 0, 0, 1, 0, 0]]], '
+        '[[[2, 0, 0, 1], [0, 0, 0, 0, 1, 0]], [[0, 5, 0, 0], [0, 0, 0, 0, -1, 0]], '
+        '[[0, 2, 0, 0], [0, 0, 0, 0, -2, 0]]]], "verified": true, "word": "m(1,1) s2"}\n',
+    ),
+    ("2", "2", "m(1,0) s3 h"): (
+        "y1 -> t*y2\ny2 -> y3\ny3 -> t*y4\ny4 -> y1*y4^2 - y3^3 - 2*y3\nverified: yes\n",
+        '{"a": 2, "b": 2, "images": [[[[0, 1, 0, 0], [0, 1]]], [[[0, 0, 1, 0], [1, 0]]], '
+        '[[[0, 0, 0, 1], [0, 1]]], [[[1, 0, 0, 2], [1, 0]], [[0, 0, 3, 0], [-1, 0]], '
+        '[[0, 0, 1, 0], [-2, 0]]]], "verified": true, "word": "m(1,0) s3 h"}\n',
+    ),
+    ("3", "1", "s3 m(2,0)"): (
+        "y1 -> y1*y4^3 - y3^2 - 3*y3 - 3\ny2 -> t^2*y4\ny3 -> y3\ny4 -> t*y2\n"
+        "verified: yes\n",
+        '{"a": 3, "b": 1, "images": [[[[1, 0, 0, 3], [1, 0, 0]], [[0, 0, 2, 0], [-1, 0, 0]], '
+        '[[0, 0, 1, 0], [-3, 0, 0]], [[0, 0, 0, 0], [-3, 0, 0]]], [[[0, 0, 0, 1], [0, 0, 1]]], '
+        '[[[0, 0, 1, 0], [1, 0, 0]]], [[[0, 1, 0, 0], [0, 1, 0]]]], "verified": true, '
+        '"word": "s3 m(2,0)"}\n',
+    ),
+    ("1", "1", "m(0,0)"): (
+        "y1 -> y1\ny2 -> y2\ny3 -> y3\ny4 -> y4\nverified: yes\n",
+        '{"a": 1, "b": 1, "images": [[[[1, 0, 0, 0], [1]]], [[[0, 1, 0, 0], [1]]], '
+        '[[[0, 0, 1, 0], [1]]], [[[0, 0, 0, 1], [1]]]], "verified": true, "word": "m(0,0)"}\n',
+    ),
+}
+
+
+def test_surrogate_output_bytes_are_pinned(capsys):
+    for (a, b, word), (text, js) in GOLDEN.items():
+        argv = ["aut-compose", "--a", a, "--b", b, *word.split()]
+        assert run_cli(capsys, *argv) == (0, text, "")
+        assert run_cli(capsys, *argv, "--format", "json") == (0, js, "")
+
+
+def test_map_json_with_spread_coefficients_keeps_budget_refusals(capsys, tmp_path):
+    """Maps read with --map-json may carry coefficients over several powers
+    of t, which no group element has.  Under --max-terms each y-monomial is
+    one term however many powers of t it carries, so the refusals below,
+    recorded when the coefficients were vectors, stay where they were."""
+    # s2 s3 h at (2,2) and s2 s3 s2 at (2,1), every coefficient c made c(1 + t)
+    maps = {
+        "22": '{"a": 2, "b": 2, "images": [[[[0, 1, 0, 0], [1, 1]]], [[[1, 0, 0, 0], [1, 1]]], '
+        '[[[2, 0, 0, 1], [1, 1]], [[0, 3, 0, 0], [-1, -1]], [[0, 1, 0, 0], [-2, -2]]], '
+        '[[[3, 0, 0, 2], [1, 1]], [[0, 4, 1, 0], [-1, -1]], [[1, 2, 0, 0], [-2, -2]], '
+        '[[0, 2, 1, 0], [-3, -3]], [[1, 0, 0, 0], [-4, -4]], [[0, 0, 1, 0], [-3, -3]]]]}',
+        "21": '{"a": 2, "b": 1, "images": [[[[1, 0, 0, 0], [1, 1]]], '
+        '[[[1, 0, 0, 1], [1, 1]], [[0, 1, 0, 0], [-1, -1]]], '
+        '[[[1, 0, 0, 2], [1, 1]], [[0, 0, 1, 0], [-1, -1]], [[0, 0, 0, 0], [-2, -2]]], '
+        '[[[0, 0, 0, 1], [1, 1]]]]}',
+    }
+    no_word = "error: FactorizationFailed: no descent and no residue match at measure "
+    cases = [
+        ("22", "13", 3, "budget exceeded: normal form budget exhausted\n"),
+        ("22", "14", 3, "budget exceeded: product has 17 terms, budget 14\n"),
+        ("22", "24", 1, no_word + "6\n"),
+        ("21", "6", 1, no_word + "5\n"),
+    ]
+    for name, text in maps.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    for name, cap, code, err in cases:
+        a, b = name
+        argv = ["aut-factor", "--a", a, "--b", b, "--max-terms", cap]
+        argv += ["--map-json", str(tmp_path / f"{name}.json")]
+        assert run_cli(capsys, *argv) == (code, "", err)
 
 
 def test_console_script_subprocess():

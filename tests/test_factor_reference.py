@@ -216,6 +216,20 @@ def test_every_group_element_is_identified():
             assert autgroup.identify(autgroup.to_endo(x)) == x
 
 
+def test_huge_exponents_are_read_at_once():
+    """The point is read with pow(y, e, p), not from a table of every power
+    up to the largest exponent: a map with an exponent of 10^12 is no group
+    element, answered without building anything that large."""
+    huge = 10**12
+    for a, b in ((2, 1), (2, 2), (3, 2)):
+        params = Params(a, b)
+        images = list(compose_word(params, parse_word("s2 m(1,0)")).images)
+        for i, key in ((0, (huge, 0, 0, 0, 0)), (3, (0, 0, huge, huge + 1, 0))):
+            g = list(images)
+            g[i] = g[i] + LaurentPoly.monomial(key, 3)
+            assert autgroup.identify(EndoMap(params, tuple(g), False)) is None
+
+
 def test_long_dihedral_parts_descend_like_the_degrees():
     """The group takes off the leftmost letter of a long dihedral part; the
     degree descent takes off the letter that lowers the total weighted
