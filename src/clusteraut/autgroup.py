@@ -21,6 +21,7 @@ from .errors import (
     StructureMismatch,
     SwapRequiresEqualParams,
 )
+from .budget import current_max_terms
 from .cluster import expected_period
 from .poly import Params
 from .surface import (
@@ -624,21 +625,28 @@ def factor_word(x: GroupElement, steps: int) -> list | None:
 
 
 def enumerate_finite(structure: GroupStructure):
-    """All group elements for a finite case, as a list.
+    """All group elements for a finite case, as a new list.
 
     Every pair is also compared as surface maps through to_endo to confirm
-    the enumeration has no collisions.
+    the enumeration has no collisions.  That check runs once per structure
+    and term budget (the budget is in the key because the maps can be
+    refused under a smaller one).
     """
     if structure.r_order is None:
         raise NotFiniteType(f"group for {structure.params} is infinite")
+    return list(_finite_elements(structure, current_max_terms()))
+
+
+@lru_cache(maxsize=16)
+def _finite_elements(structure: GroupStructure, max_terms: int) -> tuple:
     p = structure.params
-    elements = [
+    elements = tuple(
         GroupElement(structure, k, s, (i, j))
         for k in range(structure.r_order)
         for s in (0, 1)
         for i in range(p.a)
         for j in range(p.b)
-    ]
+    )
     maps = [to_endo(e) for e in elements]
     for n, f in enumerate(maps):
         for g in maps[n + 1 :]:

@@ -435,8 +435,9 @@ def _suite_geometry():
 
 
 def _suite_errata():
-    """Three discrepancies between the source text and the derived facts,
-    each rechecked from scratch here."""
+    """Three discrepancies between the source text and the derived facts.
+    The identity checks and compactifications behind them are derived once
+    per process (and term budget), so a repeated run reads them back."""
     entries = []
 
     corrected = all(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count
 from typing import Iterator
 
@@ -177,12 +178,24 @@ def cluster_var(params: Params, n: int) -> ClusterVar:
 
     Walks from the seed (y1, y2) through the walk cache, computing only the
     steps the cache lacks; a cold walk's cost grows with |n| and the active
-    term budget applies to every step.
+    term budget applies to every step.  In the finite types the values have
+    period p = ``expected_period`` (Fomin and Zelevinsky, "Cluster algebras
+    II: Finite type classification", Invent. Math. 2003), and a walk repeats
+    its steps exactly, dict order included, once its two seeds come back.
+    So n is moved by whole periods into the window of indices just past one
+    full period, [p + 2, 2p + 1] (or [2 - 2p, 1 - p] below the seed): the
+    shorter walk still takes every step of a period and so refuses under a
+    tight budget exactly where the long one would.
     """
-    walk = cluster_walk(params, 1 if n >= 1 else -1)
-    for var in walk:
-        if var.n == n:
-            return var
+    p = expected_period(params)
+    target = n
+    if p is not None and n > 2 * p + 1:
+        target = n - (n - p - 2) // p * p
+    elif p is not None and n < 2 - 2 * p:
+        target = n + (1 - p - n) // p * p
+    for var in cluster_walk(params, 1 if n >= 1 else -1):
+        if var.n == target:
+            return var if target == n else ClusterVar(params, n, var.value)
 
 
 def check_relation(params: Params, n: int) -> bool:
@@ -208,21 +221,23 @@ def detect_period(params: Params, n_max: int = 50) -> int | None:
     """Smallest p <= n_max with y_{n+p} = y_n, found by direct comparison.
 
     Returns None when no period shows up within n_max steps or within the
-    term budget (periodicity cannot be ruled out by search alone).
+    term budget (periodicity cannot be ruled out by search alone).  The walk
+    stops at the first period: after it the steps repeat, so none of them
+    could exceed the budget.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    seen: list[LaurentPoly] = []
+    walk = cluster_walk(params, 1)
+    first, second = next(walk).value, next(walk).value
+    prev = second
     try:
-        for var in cluster_walk(params, 1):
-            seen.append(var.value)
-            if len(seen) > n_max + 2:
-                break
+        for p in range(1, n_max + 1):
+            cur = next(walk).value  # y_(p + 2)
+            if prev == first and cur == second:
+                return p
+            prev = cur
     except BudgetExceeded:
         return None
-    for p in range(1, n_max + 1):
-        if p + 1 < len(seen) and seen[p] == seen[0] and seen[p + 1] == seen[1]:
-            return p
     return None
 
 
@@ -231,13 +246,26 @@ def detect_period(params: Params, n_max: int = 50) -> int | None:
 
 def verify_identity_y0(params: Params) -> bool:
     """Check y2 * y0 == y1^b + 1 modulo the relations."""
-    y1, y2 = Y1, Y2
-    claim = y2 * y0_expression(params) - y1 ** params.b - LaurentPoly.one()
-    return normal_form(params, claim).is_zero()
+    return _identity_y0(params, current_max_terms())
 
 
 def verify_identity_y5(params: Params, paper_literal: bool = False) -> bool:
     """Check y3 * y5 == y4^a + 1 modulo the relations."""
+    return _identity_y5(params, bool(paper_literal), current_max_terms())
+
+
+# Each check runs once per process and term budget: the budget is part of the
+# key because a check that fits one budget can be refused under a smaller one.
+
+
+@lru_cache(maxsize=64)
+def _identity_y0(params: Params, max_terms: int) -> bool:
+    claim = Y2 * y0_expression(params) - Y1 ** params.b - LaurentPoly.one()
+    return normal_form(params, claim).is_zero()
+
+
+@lru_cache(maxsize=64)
+def _identity_y5(params: Params, paper_literal: bool, max_terms: int) -> bool:
     y3, y4 = LaurentPoly.variable(3), LaurentPoly.variable(4)
     claim = (
         y3 * y5_expression(params, paper_literal)

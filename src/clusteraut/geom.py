@@ -11,6 +11,7 @@ plain integer cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import (
     EngineError,
@@ -79,9 +80,9 @@ class PicardLattice:
             s -= u[i] * v[i]
         return s
 
-    def blow_up(self) -> "PicardLattice":
-        """Extend by one exceptional class; K gains the new class."""
-        return PicardLattice(self.origin, self.rank + 1, self.k + (1,))
+    def blow_up(self, count: int = 1) -> "PicardLattice":
+        """Extend by ``count`` exceptional classes; K gains each new class."""
+        return PicardLattice(self.origin, self.rank + count, self.k + (1,) * count)
 
     def basis_vector(self, i: int) -> tuple:
         return tuple(1 if j == i else 0 for j in range(self.rank))
@@ -257,20 +258,21 @@ def blowup_on_curve(cycle: BoundaryCycle, i: int, count: int) -> BoundaryCycle:
     """Blow up ``count`` interior points of curve i.
 
     The exceptional classes stay off the cycle (recorded as extras); the
-    curve's self-intersection drops by count.
+    curve's self-intersection drops by count.  The lattice is extended once
+    by all ``count`` classes, and curve i loses their sum.
     """
     if count < 1:
         raise PreconditionViolated("count must be at least 1")
     i %= cycle.n
-    out = cycle
-    for _ in range(count):
-        lat = out.lattice.blow_up()
-        curves, extras = _rebind(out, lat)
-        e = DivisorClass(lat, lat.basis_vector(lat.rank - 1))
-        curves = list(curves)
-        curves[i] = curves[i] - e
-        out = BoundaryCycle(lat, tuple(curves), extras + (e,))
-    return out
+    lat = cycle.lattice.blow_up(count)
+    curves, extras = _rebind(cycle, lat)
+    curves = list(curves)
+    curves[i] = DivisorClass(lat, cycle.curves[i].coeffs + (-1,) * count)
+    new = tuple(
+        DivisorClass(lat, lat.basis_vector(r))
+        for r in range(cycle.lattice.rank, lat.rank)
+    )
+    return BoundaryCycle(lat, tuple(curves), extras + new)
 
 
 def contract(cycle: BoundaryCycle, index: int) -> BoundaryCycle:
@@ -399,6 +401,13 @@ def _build_y(params: Params) -> BoundaryCycle:
     return corner_blowup(_build_triangle_plane(params), 2)
 
 
+#: Bound on the compactification cache: a script's lattice has rank at most
+#: a + b + 4, and pairs whose lattices could pass this rank are built
+#: uncached.  An entry holds about rank^2 coefficients (10.9 KB at rank 23),
+#: so the cache's 256 entries take at most 2.8 MB.
+COMPACTIFICATION_CACHE_RANK = 24
+
+
 def build_compactification(
     params: Params, model: str, origin: str = PLANE
 ):
@@ -408,7 +417,17 @@ def build_compactification(
     "Y" (b = 1 and ab <= 3).  TriangleT and SquareS also exist with
     origin="quadric", giving the ruled-surface scripts used as
     cross-checks; the other models are plane-rooted only.
+
+    Each (params, model, origin) is built once per process: the results are
+    immutable, so a cached one is the one a cold build gives.  Refusals
+    (ModelUnavailable) are not cached.
     """
+    if params.a + params.b + 4 > COMPACTIFICATION_CACHE_RANK:
+        return _build_compactification(params, model, origin)
+    return _cached_compactification(params, model, origin)
+
+
+def _build_compactification(params: Params, model: str, origin: str):
     a, b = params.a, params.b
     if model in ("BarX", "Pentagon", "Y") and origin != PLANE:
         raise ModelUnavailable(f"{model} is only scripted from the plane")
@@ -442,6 +461,9 @@ def build_compactification(
         raise ModelUnavailable(f"unknown model {model!r}")
     cycle.check_ngon()
     return cycle.lattice, cycle
+
+
+_cached_compactification = lru_cache(maxsize=256)(_build_compactification)
 
 
 def boundary_summary(cycle: BoundaryCycle) -> dict:

@@ -238,6 +238,25 @@ def test_huge_rotation_atoms(capsys):
     assert code == 0 and payload["order"] == 2
 
 
+def test_huge_indices_and_large_geometry_answer(capsys):
+    """At the finite types a huge n or n_max is read one period away, and a
+    large blow-up adds its points in one lattice extension."""
+    huge = 99999999999999999999
+    code, payload, _ = run_json(capsys, "period", "--a", "1", "--b", "1",
+                                "--n-max", "99999999999999")
+    assert code == 0 and payload["period"] == 5
+    for n in (huge, -huge):
+        code, payload, _ = run_json(capsys, "cluster", "--a", "1", "--b", "1", "--n", str(n))
+        code2, want, _ = run_json(capsys, "cluster", "--a", "1", "--b", "1",
+                                  "--n", str(n % 5))
+        assert code == code2 == 0 and payload["n"] == n
+        assert {**payload, "n": n % 5} == want
+    code, payload, _ = run_json(capsys, "geom-boundary", "--a", "1000", "--b", "1",
+                                "--model", "pentagon")
+    assert code == 0 and payload["types"] == [-1, -1, -1000, -1, -1]
+    assert payload["K2"] == -994
+
+
 def test_exit_code_two_on_config_errors(capsys):
     code, _, err = run_cli(capsys, "cluster", "--a", "0", "--b", "2", "--n", "5")
     assert code == 2 and err

@@ -368,3 +368,113 @@ def test_threads_share_the_walk_cache_safely():
     assert walks.terms == sum(e.terms for e in walks.walks.values())
     for n, value in enumerate(cached_values(params, 1), start=1):
         assert value == reference[n - 1]
+
+
+# -- finite types: whole periods --------------------------------------------
+
+
+def cold_outcomes(params, direction, steps):
+    """{n: outcome} of a cold walk from the seed for the first ``steps``
+    indices in one direction; past a refusal every index gets its text."""
+    prev, cur, m = (Y1, Y2, 2) if direction == 1 else (Y2, Y1, 1)
+    out = {m - direction: list(prev.terms()), m: list(cur.terms())}
+    refusal = None
+    while len(out) < steps:
+        if refusal is None:
+            try:
+                c = parity_exponent(params, m)
+                prev, cur = cur, exact_div(cur ** c + LaurentPoly.one(), prev, params)
+            except BudgetExceeded as exc:
+                refusal = f"budget: {exc}"
+        m += direction
+        out[m] = refusal if refusal is not None else list(cur.terms())
+    return out
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3)])
+def test_finite_walks_move_by_whole_periods(a, b):
+    # y_n is read at n moved by whole periods into one window past a full
+    # period; value, dict order and refusal text are those of the cold walk
+    params = Params(a, b)
+    for max_terms in list(range(1, 13)) + [current_max_terms()]:
+        with limit(max_terms):
+            cold = {**cold_outcomes(params, 1, 43), **cold_outcomes(params, -1, 43)}
+            clear_walk_cache()
+            for n in sorted(cold, key=abs):
+                assert outcome(cached_var, params, n) == cold[n], (max_terms, n)
+            for n in range(-40, 41):
+                clear_walk_cache()
+                assert outcome(cached_var, params, n) == cold[n], (max_terms, n)
+            # past one full period a cold walk's outcomes repeat with period p
+            period = expected_period(params)
+            for huge in (10**20 + 3, -(10**20 + 3)):
+                band = range(20, 41) if huge > 0 else range(-40, -19)
+                near = next(m for m in band if (huge - m) % period == 0)
+                assert outcome(cached_var, params, huge) == cold[near], (max_terms, huge)
+    var = cluster_var(params, -(10**20))
+    assert var.n == -(10**20)
+    assert var.value == cluster_var(params, -(10**20) % expected_period(params)).value
+
+
+def old_detect_period(params, n_max):
+    """The period search that walks all n_max + 2 steps before comparing."""
+    seen = []
+    try:
+        for var in cluster_walk(params, 1):
+            seen.append(var.value)
+            if len(seen) > n_max + 2:
+                break
+    except BudgetExceeded:
+        return None
+    for p in range(1, n_max + 1):
+        if seen[p] == seen[0] and seen[p + 1] == seen[1]:
+            return p
+    return None
+
+
+def test_detect_period_stops_at_the_first_period():
+    pairs = [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2), (3, 2)]
+    for a, b in pairs:
+        params = Params(a, b)
+        budgets = [1, 2, 3, 5, 8, 12, 40, 2000]
+        for max_terms in budgets + ([current_max_terms()] if a * b <= 3 else []):
+            with limit(max_terms):
+                for n_max in range(2, 13):
+                    clear_walk_cache()
+                    want = old_detect_period(params, n_max)
+                    clear_walk_cache()
+                    assert detect_period(params, n_max) == want, (a, b, max_terms, n_max)
+    clear_walk_cache()
+    assert detect_period(Params(1, 1), n_max=10**14) == 5
+    # the walk stops at y7 = y2: nothing past it is computed
+    assert len(cached_values(Params(1, 1), 1)) == 7
+
+
+@pytest.mark.parametrize("check", ["y0", "y5", "y5-literal"])
+def test_identity_checks_match_cold_checks(check):
+    def run(params):
+        if check == "y0":
+            return verify_identity_y0(params)
+        return verify_identity_y5(params, paper_literal=check == "y5-literal")
+
+    def outcome_of(params):
+        try:
+            return run(params)
+        except BudgetExceeded as exc:
+            return f"budget: {exc}"
+
+    pairs = [Params(a, b) for a in range(1, 5) for b in range(1, 5)]
+    # the default budget runs first, so the smaller budgets meet its entries
+    results = {}
+    for max_terms in (current_max_terms(), 3, 20):
+        with limit(max_terms):
+            warm = results[max_terms] = [outcome_of(p) for p in pairs]
+            assert [outcome_of(p) for p in pairs] == warm
+            for params, got in zip(pairs, warm):
+                cluster._identity_y0.cache_clear()
+                cluster._identity_y5.cache_clear()
+                assert outcome_of(params) == got, (params, max_terms)
+    assert any(isinstance(got, str) for got in results[3])
+    assert results[current_max_terms()] == [
+        check != "y5-literal" or p.a == p.b for p in pairs
+    ]

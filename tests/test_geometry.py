@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from clusteraut import geom
 from clusteraut.errors import (
     EngineError,
     ModelUnavailable,
@@ -300,3 +301,92 @@ def test_rotated_preserves_everything():
         assert rot.ngon_type() == cycle.ngon_type()
         assert is_anticanonical(rot)
         rot.check_ngon()
+
+
+# -- one build per process ---------------------------------------------------
+
+MODELS = ("BarX", "Pentagon", "TriangleT", "SquareS", "Y")
+
+
+def blowup_one_point_at_a_time(cycle, i, count):
+    """Reference: extend the lattice by one class per point."""
+    if count < 1:
+        raise PreconditionViolated("count must be at least 1")
+    i %= cycle.n
+    out = cycle
+    for _ in range(count):
+        lat = out.lattice.blow_up()
+        pad = (0,) * (lat.rank - out.lattice.rank)
+        curves = [DivisorClass(lat, c.coeffs + pad) for c in out.curves]
+        extras = tuple(DivisorClass(lat, c.coeffs + pad) for c in out.extras)
+        e = DivisorClass(lat, lat.basis_vector(lat.rank - 1))
+        curves[i] = curves[i] - e
+        out = BoundaryCycle(lat, tuple(curves), extras + (e,))
+    return out
+
+
+def outcomes(build, a_max):
+    """{(a, b, model, origin): (lattice, cycle) or the refusal's type}."""
+    out = {}
+    for a in range(1, a_max + 1):
+        for b in range(1, a_max + 1):
+            for model in MODELS:
+                for origin in (PLANE, QUADRIC):
+                    try:
+                        got = build(Params(a, b), model, origin)
+                    except ModelUnavailable as exc:
+                        got = type(exc)
+                    out[(a, b, model, origin)] = got
+    return out
+
+
+def test_blowup_on_curve_matches_one_point_at_a_time(monkeypatch):
+    built = outcomes(geom._build_compactification, 8)
+    monkeypatch.setattr(geom, "blowup_on_curve", blowup_one_point_at_a_time)
+    assert outcomes(geom._build_compactification, 8) == built
+    assert sum(not isinstance(v, type) for v in built.values()) == 245
+    _, cycle = build_compactification(Params(2, 3), "Pentagon")
+    for i in range(cycle.n):
+        for count in (1, 2, 5):
+            assert blowup_on_curve(cycle, i, count) == blowup_one_point_at_a_time(
+                cycle, i, count
+            )
+
+
+def test_cached_compactifications_match_cold_builds():
+    geom._cached_compactification.cache_clear()
+    warm = outcomes(build_compactification, 6)
+    assert outcomes(build_compactification, 6) == warm
+    info = geom._cached_compactification.cache_info()
+    stored = sum(not isinstance(v, type) for v in warm.values())
+    assert info.currsize == stored and info.hits == stored
+    for (a, b, model, origin), got in warm.items():
+        if isinstance(got, type):
+            continue
+        assert got[0].rank <= a + b + 4
+        geom._cached_compactification.cache_clear()
+        assert build_compactification(Params(a, b), model, origin) == got
+    # the default origin and an explicit plane share one entry
+    geom._cached_compactification.cache_clear()
+    params = Params(2, 3)
+    assert build_compactification(params, "Pentagon") is build_compactification(
+        params, "Pentagon", PLANE
+    )
+    assert geom._cached_compactification.cache_info().currsize == 1
+
+
+def test_compactification_cache_keeps_no_refusals_or_large_lattices():
+    geom._cached_compactification.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ModelUnavailable):
+            build_compactification(Params(2, 2), "TriangleT")
+        with pytest.raises(ModelUnavailable):
+            build_compactification(Params(2, 2), "Pentagon", "torus")
+    assert geom._cached_compactification.cache_info().currsize == 0
+    cap = geom.COMPACTIFICATION_CACHE_RANK
+    for a, b in ((cap - 5, 1), (cap - 4, 1), (cap, cap)):
+        lattice, cycle = build_compactification(Params(a, b), "Pentagon")
+        assert lattice.rank == a + b + 3
+        assert cycle.ngon_type().ints == (-1, -b, -a, -1, -1)
+    # only the pair whose lattices all fit within the cap is kept
+    assert geom._cached_compactification.cache_info().currsize == 1

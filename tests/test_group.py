@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from clusteraut import autgroup
 from clusteraut.autgroup import (
     GroupElement,
     enumerate_finite,
@@ -14,7 +15,9 @@ from clusteraut.autgroup import (
     structure_of,
     to_endo,
 )
+from clusteraut.budget import limit
 from clusteraut.errors import (
+    BudgetExceeded,
     NotFiniteType,
     StructureMismatch,
     SwapRequiresEqualParams,
@@ -85,6 +88,27 @@ def test_enumeration_distinct_as_surface_maps():
     for a, b in ((1, 1), (2, 1), (3, 1)):
         st = structure_of(Params(a, b))
         enumerate_finite(st)
+
+
+def test_enumeration_is_checked_once_and_handed_out_fresh():
+    finite = [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3)]
+    autgroup._finite_elements.cache_clear()
+    warm = {ab: enumerate_finite(structure_of(Params(*ab))) for ab in finite}
+    for ab, elements in warm.items():
+        st = structure_of(Params(*ab))
+        want = list(elements)
+        elements.append(identity_element(st))
+        elements.reverse()
+        assert enumerate_finite(st) == want
+        autgroup._finite_elements.cache_clear()
+        assert enumerate_finite(st) == want
+    assert autgroup._finite_elements.cache_info().currsize == 1
+    # the check's maps are refused under a small budget, cached or not
+    st = structure_of(Params(3, 1))
+    enumerate_finite(st)
+    for _ in range(2):
+        with limit(5), pytest.raises(BudgetExceeded):
+            enumerate_finite(st)
 
 
 def test_enumeration_requires_finite():

@@ -1,11 +1,15 @@
-"""The benchmark's traced mode still runs against the package.
+"""Checks on the package as a whole.
 
 ``perfbench/tracing.py`` wraps functions it names by string and the worker's
 warm-up calls the package directly, so deleting or renaming one of those
 names breaks ``perfbench/run.py --trace 1`` without failing any other test.
 A short traced run of each workload must complete with no failed request
 and a passing oracle self-test.
+
+Every memoizing cache in ``src/clusteraut`` names its bound, so that a
+long-lived process cannot grow without limit.
 """
+import ast
 import json
 import subprocess
 import sys
@@ -35,3 +39,63 @@ def test_traced_benchmark_run(workload):
     )
     assert result["self_test"] and all(result["self_test"].values())
     assert result["layers"]["trace.spans"] > 0
+
+
+def _unbounded_caches(tree):
+    """(line, what) for each functools.cache, each lru_cache applied without
+    a maxsize keyword (``@lru_cache``, ``@lru_cache()``, ``lru_cache(f)``)
+    and each maxsize=None."""
+    def is_lru(expr):
+        name = getattr(expr, "id", None) or getattr(expr, "attr", None)
+        return name == "lru_cache"
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, "functools.cache") for a in node.names if a.name == "cache"]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "cache"
+            and getattr(node.value, "id", None) == "functools"
+        ):
+            found.append((node.lineno, "functools.cache"))
+        elif isinstance(node, ast.keyword) and node.arg == "maxsize":
+            if isinstance(node.value, ast.Constant) and node.value.value is None:
+                found.append((node.value.lineno, "maxsize=None"))
+        # lru_cache applied bare: as a decorator, or called on a function
+        bare = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            bare += [d for d in node.decorator_list if is_lru(d)]
+        if isinstance(node, ast.Call) and is_lru(node.func):
+            if not any(kw.arg == "maxsize" for kw in node.keywords):
+                bare.append(node)
+        found += [(expr.lineno, "lru_cache without maxsize") for expr in bare]
+    return found
+
+
+def test_every_cache_is_bounded():
+    sources = sorted((ROOT / "src" / "clusteraut").glob("*.py"))
+    assert sources
+    found = {
+        path.name: _unbounded_caches(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sources
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+    bad = ast.parse(
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache\ndef f(): pass\n"
+        "@lru_cache()\ndef g(): pass\n"
+        "@functools.lru_cache(maxsize=None)\ndef h(): pass\n"
+        "@functools.cache\ndef i(): pass\n"
+        "j = lru_cache(lambda: 0)\n"
+        "@lru_cache(maxsize=8)\ndef k(): pass\n"
+    )
+    assert sorted(_unbounded_caches(bad)) == [
+        (2, "functools.cache"),
+        (3, "lru_cache without maxsize"),
+        (5, "lru_cache without maxsize"),
+        (7, "maxsize=None"),
+        (9, "functools.cache"),
+        (11, "lru_cache without maxsize"),
+    ]
