@@ -4,13 +4,12 @@ Elements are written d * m * h with d = r^k * s2^s in the dihedral part
 (r = s2 s3), m a diagonal scaling and h the coordinate reversal (only
 when a = b >= 2).  The action of the dihedral part on the scaling lattice
 is not assumed: it is derived once per parameter pair by conjugating the
-basis scalings symbolically and matching the results.
+basis scalings symbolically and reading the results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import gcd
 
@@ -21,7 +20,7 @@ from .errors import (
     StructureMismatch,
     SwapRequiresEqualParams,
 )
-from .budget import current_max_terms
+from .budget import cache_per_budget
 from .cluster import expected_period
 from .poly import Params
 from .surface import (
@@ -31,7 +30,6 @@ from .surface import (
     equal,
     identity,
     order_of,
-    rotation,
     scaling,
     sigma2,
     sigma3,
@@ -50,12 +48,15 @@ def _case_name(a: int, b: int) -> str:
     return "GenericInfinite"
 
 
-def _match_scaling(params: Params, f: EndoMap):
-    """Find (i, j) with f == scaling(i, j), or None."""
-    for i, j in product(range(params.a), range(params.b)):
-        if equal(f, scaling(params, i, j)):
-            return (i, j)
-    return None
+def _read_scaling(params: Params, f: EndoMap):
+    """(i, j) with f == scaling(i, j), or None: a scaling sends y2 to
+    t^((m/a) i) y2 and y3 to t^((m/b) j) y3, so (i, j) is read from those two
+    images and confirmed with one exact equality."""
+    if any(e.num_terms != 1 for e in f.images[1:3]):
+        return None
+    (k2,), (k3,) = (e.term_map() for e in f.images[1:3])
+    ij = (k2[4] // (params.m // params.a), k3[4] // (params.m // params.b))
+    return ij if equal(f, scaling(params, *ij)) else None
 
 
 def _conjugation_table(params: Params, g: EndoMap, label: str):
@@ -67,7 +68,7 @@ def _conjugation_table(params: Params, g: EndoMap, label: str):
     cols = []
     for basis in ((1, 0), (0, 1)):
         conj = compose(compose(g, scaling(params, *basis)), g)
-        hit = _match_scaling(params, conj)
+        hit = _read_scaling(params, conj)
         if hit is None:
             raise ConjugationNotScaling(
                 f"conjugate of scaling{basis} by {label} is not a scaling"
@@ -79,8 +80,8 @@ def _conjugation_table(params: Params, g: EndoMap, label: str):
 def derive_action_tables(params: Params) -> dict:
     """Conjugation action of s2, s3 (and h when a = b) on the scalings.
 
-    Everything is computed by symbolic conjugation and matched against the
-    scaling family; nothing about the action is hard-coded.
+    Everything is computed by symbolic conjugation and read off the
+    conjugates; nothing about the action is hard-coded.
     """
     tables = {
         "s2": _conjugation_table(params, sigma2(params), "s2"),
@@ -139,7 +140,7 @@ class GroupStructure:
         return f"infinite dihedral acting on scalings of order {self.mu_order}"
 
 
-@lru_cache(maxsize=64)
+@cache_per_budget(64)
 def structure_of(params: Params) -> GroupStructure:
     """Case descriptor for the parameter pair, with action tables filled in."""
     a, b = params.a, params.b
@@ -358,18 +359,9 @@ def from_word(structure: GroupStructure, word) -> GroupElement:
 # -- evaluation onto surface maps ------------------------------------------
 
 def to_endo(x: GroupElement) -> EndoMap:
-    """Evaluate the normal form as a surface map."""
-    params = x.structure.params
-    f = identity(params)
-    if x.h:
-        f = swap(params)
-    if x.mu != (0, 0):
-        f = compose(scaling(params, *x.mu), f)
-    if x.s:
-        f = compose(sigma2(params), f)
-    if x.r_exp:
-        f = compose(rotation(params, x.r_exp), f)
-    return f
+    """The surface map of x: ``compose_word`` of its normal-form word, the
+    index action of each atom on four entries of the table of y_n."""
+    return compose_word(x.structure.params, normal_word(x))
 
 
 def element_order(x: GroupElement) -> int | None:
@@ -424,11 +416,12 @@ def word_order(params: Params, word, cap: int) -> int | None:
     above cap.
 
     The order k is taken in the group and proven on the surface with the
-    normal-form word w of the element: w composes to f, w repeated k times
-    composes to the identity, and repeated k/q times it does not, for each
-    prime q dividing k.  The powers of w are prefixes of one word, and every
-    word of the element has the same w, so the word cache composes each
-    once.  Should the proof fail, the answer comes from ``order_of``.
+    normal-form word w of the element: w maps to f, w repeated k times maps
+    to the identity, and repeated k/q times it does not, for each prime q
+    dividing k.  Each map comes from ``compose_word``, which applies each
+    atom's index action to the exact table of y_n, so the proof checks the
+    group's normal form (``from_word``, ``gmul``) against the letters of the
+    word.  Should the proof fail, the answer comes from ``order_of``.
     """
     x = from_word(structure_of(params), word)
     k = element_order(x)
@@ -469,7 +462,7 @@ _REACH = 64
 _WINDOWS = ((0, 0, 1), (1, 0, 3), (0, 1, 4), (1, 1, 0))
 
 
-@lru_cache(maxsize=64)
+@cache_per_budget(64)
 def _reading(params: Params) -> tuple:
     """What ``identify`` needs at one pair: the group structure, y1..y4 at the
     point, and {y_n at the point: n} over one period in the finite cases and
@@ -581,7 +574,7 @@ def _key(x: GroupElement) -> tuple:
     return (x.r_exp, x.s, x.mu, x.h)
 
 
-@lru_cache(maxsize=64)
+@cache_per_budget(64)
 def _residue_words(params: Params) -> dict:
     """{(k, s, mu, h): word} giving each element whose dihedral part has at
     most five letters its first word in the order: dihedral word (the
@@ -629,16 +622,15 @@ def enumerate_finite(structure: GroupStructure):
 
     Every pair is also compared as surface maps through to_endo to confirm
     the enumeration has no collisions.  That check runs once per structure
-    and term budget (the budget is in the key because the maps can be
-    refused under a smaller one).
+    and term budget.
     """
     if structure.r_order is None:
         raise NotFiniteType(f"group for {structure.params} is infinite")
-    return list(_finite_elements(structure, current_max_terms()))
+    return list(_finite_elements(structure))
 
 
-@lru_cache(maxsize=16)
-def _finite_elements(structure: GroupStructure, max_terms: int) -> tuple:
+@cache_per_budget(16)
+def _finite_elements(structure: GroupStructure) -> tuple:
     p = structure.params
     elements = tuple(
         GroupElement(structure, k, s, (i, j))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextvars
 from contextlib import contextmanager
+from functools import lru_cache, wraps
 
 DEFAULT_MAX_TERMS = 1_000_000
 
@@ -46,3 +47,21 @@ def limit(max_terms: int):
         yield
     finally:
         _max_terms.reset(token)
+
+
+def cache_per_budget(maxsize: int):
+    """``lru_cache(maxsize)`` keyed by the arguments and the term budget in
+    effect, for answers that a smaller budget can refuse: a call refused
+    cold is refused warm too.  Keeps ``cache_info`` and ``cache_clear``."""
+
+    def decorate(fn):
+        cached = lru_cache(maxsize=maxsize)(lambda _, *args, **kw: fn(*args, **kw))
+
+        @wraps(fn)
+        def call(*args, **kwargs):
+            return cached(_max_terms.get(), *args, **kwargs)
+
+        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+        return call
+
+    return decorate

@@ -9,27 +9,33 @@ computed here as Laurent polynomials in y1, y2: every division in the
 recurrence is performed exactly and a failure (which the Laurent phenomenon
 rules out) would surface as LaurentViolation.  The family is periodic exactly
 when a*b <= 3, with period 5, 6 or 8.
+
+The same y_n are elements of the surface algebra of ``surface``:
+``surface_var`` gives each as its normal form in y1, y2, y3, y4.
 """
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import count
 from typing import Iterator
 
-from .budget import current_max_terms
+from . import _kernel as K
+from .budget import cache_per_budget, current_max_terms
 from .errors import BudgetExceeded, LaurentViolation, NotDivisible
 from .poly import (
     LaurentPoly,
     Params,
     Y1,
     Y2,
+    Y3,
+    Y4,
     exact_div,
     parity_exponent,
     substitute,
 )
+from .rings import ZZ
 from .surface import normal_form, y0_expression, y5_expression
 
 
@@ -61,7 +67,7 @@ def _step_up(params: Params, prev: LaurentPoly, cur: LaurentPoly, middle: int):
 #: Bound on the walk cache: the number of terms held, summed over every cached
 #: value of every walk.  It holds the working set of a process that walks a
 #: few dozen (a, b, direction) pairs to moderate n (13.5k terms for the
-#: cluster-walk benchmark's 20 walks).
+#: cluster-walk benchmark's 20 walks) and the surface variables of a few pairs.
 WALK_CACHE_TERMS = 1 << 15
 
 
@@ -77,8 +83,10 @@ class _Prefix:
 
 
 class _WalkCache:
-    """Prefixes of walks keyed by (params, direction, term budget), least
-    recently used first, holding at most WALK_CACHE_TERMS terms in total.
+    """Prefixes of walks keyed by (params, direction, term budget), or by
+    (params, "surface", direction, term budget) for the surface variables,
+    least recently used first, holding at most WALK_CACHE_TERMS terms in
+    total.
 
     The budget is part of the key because a step that fits one budget can
     raise BudgetExceeded under a smaller one; a prefix holds only steps that
@@ -198,6 +206,50 @@ def cluster_var(params: Params, n: int) -> ClusterVar:
             return var if target == n else ClusterVar(params, n, var.value)
 
 
+def _surface_step(params: Params, window: list, n: int) -> LaurentPoly:
+    """y_n in normal form from the four values before it in its walk: up,
+    ``y5_expression`` of y_(n-4)..y_(n-1) at (a, b) for odd n, (b, a) for
+    even; down, ``y0_expression`` of y_(n+1)..y_(n+4) at (a, b) for even n,
+    (b, a) for odd.  One reducing substitution and one normal form."""
+    a, b = params.a, params.b
+    if n > 4:
+        expr = y5_expression(params if n % 2 else Params(b, a))
+    else:
+        expr = y0_expression(Params(b, a) if n % 2 else params)
+        window = window[::-1]
+    cap = current_max_terms()
+    images = tuple(v.term_map() for v in window)
+    sub = K.substitute_terms(expr.term_map(), images, cap, None, (a, b), 0)
+    return LaurentPoly(ZZ, K.normal_form_terms(sub, a, b, 0, cap))
+
+
+def surface_var(params: Params, n: int) -> LaurentPoly:
+    """The cluster variable y_n in the surface algebra, in normal form over
+    Z, from the table of walks up from y1..y4 and down from y4..y1.
+
+    The walks live in the walk cache under (params, "surface", direction,
+    term budget), and a lookup computes only the steps it lacks.  In the
+    finite types n is first moved by whole periods p = ``expected_period``
+    into the p indices nearest the seeds, 3 - p//2 .. 2 + p - p//2.
+    """
+    p = expected_period(params)
+    if p is not None:
+        n = (n - 3 + p // 2) % p + 3 - p // 2
+    if 1 <= n <= 4:
+        return (Y1, Y2, Y3, Y4)[n - 1]
+    up = n > 4
+    key = (params, "surface", 1 if up else -1, current_max_terms())
+    values = _walks.prefix(key, (Y1, Y2, Y3, Y4) if up else (Y4, Y3, Y2, Y1))
+    index, done = (n - 1 if up else 4 - n), len(values)
+    if index < done:
+        return values[index]
+    window = values[done - 4 : done]
+    for i in range(done, index + 1):
+        step = _surface_step(params, window, i + 1 if up else 4 - i)
+        window = window[1:] + [_walks.extend(key, i, step)]
+    return window[-1]
+
+
 def check_relation(params: Params, n: int) -> bool:
     """Does y_{n-1} * y_{n+1} == y_n^c + 1 hold for the computed variables?"""
     lo = cluster_var(params, n - 1).value
@@ -244,35 +296,21 @@ def detect_period(params: Params, n_max: int = 50) -> int | None:
 # -- identities and cross-checks ------------------------------------------
 
 
+# Each check runs once per process and term budget.
+
+
+@cache_per_budget(64)
 def verify_identity_y0(params: Params) -> bool:
     """Check y2 * y0 == y1^b + 1 modulo the relations."""
-    return _identity_y0(params, current_max_terms())
-
-
-def verify_identity_y5(params: Params, paper_literal: bool = False) -> bool:
-    """Check y3 * y5 == y4^a + 1 modulo the relations."""
-    return _identity_y5(params, bool(paper_literal), current_max_terms())
-
-
-# Each check runs once per process and term budget: the budget is part of the
-# key because a check that fits one budget can be refused under a smaller one.
-
-
-@lru_cache(maxsize=64)
-def _identity_y0(params: Params, max_terms: int) -> bool:
     claim = Y2 * y0_expression(params) - Y1 ** params.b - LaurentPoly.one()
     return normal_form(params, claim).is_zero()
 
 
-@lru_cache(maxsize=64)
-def _identity_y5(params: Params, paper_literal: bool, max_terms: int) -> bool:
-    y3, y4 = LaurentPoly.variable(3), LaurentPoly.variable(4)
-    claim = (
-        y3 * y5_expression(params, paper_literal)
-        - y4 ** params.a
-        - LaurentPoly.one()
-    )
-    return normal_form(params, claim).is_zero()
+@cache_per_budget(64)
+def verify_identity_y5(params: Params, paper_literal: bool = False) -> bool:
+    """Check y3 * y5 == y4^a + 1 modulo the relations."""
+    claim = Y3 * y5_expression(params, paper_literal) - Y4 ** params.a
+    return normal_form(params, claim - LaurentPoly.one()).is_zero()
 
 
 def verify_identity_y0_y5(params: Params) -> bool:

@@ -20,13 +20,11 @@ for y3, y4, y5, y6 (an index shift by 2).
 from __future__ import annotations
 
 import json
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from math import gcd
 
 from . import _kernel as K
-from .budget import current_max_terms
+from .budget import cache_per_budget, current_max_terms
 from .errors import (
     NegativeExponent,
     ParamsMismatch,
@@ -118,12 +116,12 @@ def total_degree(f: EndoMap) -> int:
 
 #: Bounds on the generator caches, in entries.  The generators hold every
 #: pair with a, b <= 6 (72 keys for sigma3 and its literal variant), the
-#: scalings every (pair, i, j) of those pairs (441).
+#: scalings every (pair, i, j) of those pairs (441), per term budget.
 _PAIRS = 128
 _SCALINGS = 1024
 
 
-@lru_cache(maxsize=_PAIRS)
+@cache_per_budget(_PAIRS)
 def identity(params: Params) -> EndoMap:
     images = [LaurentPoly.variable(i) for i in (1, 2, 3, 4)]
     return EndoMap.make(params, images)
@@ -154,7 +152,7 @@ def y5_expression(params: Params, paper_literal: bool = False) -> LaurentPoly:
     return y4 ** a * y1 - y3 ** (b - 1) * acc
 
 
-@lru_cache(maxsize=_PAIRS)
+@cache_per_budget(_PAIRS)
 def sigma2(params: Params) -> EndoMap:
     """The reflection fixing y2: y_n -> y_{4-n}.
 
@@ -164,7 +162,7 @@ def sigma2(params: Params) -> EndoMap:
     return EndoMap.make(params, [y3, y2, y1, y0_expression(params)])
 
 
-@lru_cache(maxsize=_PAIRS)
+@cache_per_budget(_PAIRS)
 def sigma3(params: Params, paper_literal: bool = False) -> EndoMap:
     """The reflection fixing y3: y_n -> y_{6-n}.
 
@@ -177,7 +175,7 @@ def sigma3(params: Params, paper_literal: bool = False) -> EndoMap:
     return EndoMap.make(params, [y5, y4, y3, y2], verify=not paper_literal)
 
 
-@lru_cache(maxsize=_SCALINGS)
+@cache_per_budget(_SCALINGS)
 def scaling(params: Params, i: int, j: int) -> EndoMap:
     """Diagonal scaling by the root-of-unity pair (mu, nu) = (t^(m/a*i), t^(m/b*j)).
 
@@ -197,7 +195,7 @@ def scaling(params: Params, i: int, j: int) -> EndoMap:
     return EndoMap.make(params, images)
 
 
-@lru_cache(maxsize=_PAIRS)
+@cache_per_budget(_PAIRS)
 def swap(params: Params) -> EndoMap:
     """The coordinate reversal (y1,y2,y3,y4) -> (y4,y3,y2,y1); needs a == b."""
     if params.a != params.b:
@@ -207,8 +205,8 @@ def swap(params: Params) -> EndoMap:
 
 
 def make_generator(params: Params, atom, paper_literal: bool = False) -> EndoMap:
-    """Build one generator from a word atom: ('s2',), ('s3',), ('m', i, j),
-    ('h',), ('r', k) or ('sp', p)."""
+    """Build one generator from a letter: ('s2',), ('s3',), ('m', i, j) or
+    ('h',)."""
     kind = atom[0]
     if kind == "s2":
         return sigma2(params)
@@ -218,31 +216,7 @@ def make_generator(params: Params, atom, paper_literal: bool = False) -> EndoMap
         return scaling(params, atom[1], atom[2])
     if kind == "h":
         return swap(params)
-    if kind == "r":
-        return rotation(params, atom[1], paper_literal)
-    if kind == "sp":
-        # the reflection y_n -> y_{2p-n} is sigma_p = r^(2-p) o sigma2
-        return compose(rotation(params, 2 - atom[1], paper_literal), sigma2(params))
     raise ValueError(f"unknown generator atom {atom!r}")
-
-
-def rotation(params: Params, k: int, paper_literal: bool = False) -> EndoMap:
-    """r^k for r = sigma2 o sigma3, the word (s2 s3)^k, or (s3 s2)^|k| when
-    k < 0, shifting y_n -> y_{n-2k}.
-
-    Built one power of r at a time through the word cache; at the first
-    power equal to the identity, k is reduced modulo it.  When r has
-    infinite order every power up to |k| is built, so a huge k runs until
-    the term budget stops it.
-    """
-    pair = (("s2",), ("s3",)) if k >= 0 else (("s3",), ("s2",))
-    one = identity(params)
-    power = one
-    for j in range(1, abs(k) + 1):
-        power = compose_word(params, pair * j, paper_literal)
-        if equal(power, one):
-            return compose_word(params, pair * (abs(k) % j), paper_literal)
-    return power
 
 
 # -- composition and factorization ----------------------------------------
@@ -270,110 +244,81 @@ def compose(f: EndoMap, g: EndoMap, caches=None) -> EndoMap:
     return EndoMap(params, tuple(out), f.verified and g.verified)
 
 
-#: Bound on the word cache: the number of terms held, summed over the four
-#: images of every cached map.  It holds the working set of a process that
-#: composes words at a few pairs (about 25k terms for the 800 prefixes of the
-#: aut-roundtrip benchmark).
-WORD_CACHE_TERMS = 1 << 15
-
-
-def _interned(f: EndoMap, pool: dict) -> EndoMap:
-    """f with its key tuples replaced by the equal tuples held in ``pool``
-    (added there if new), dict order kept."""
-    intern = pool.setdefault
-    images = tuple(
-        LaurentPoly(e.ring, {intern(k, k): c for k, c in e.terms()})
-        for e in f.images
-    )
-    return EndoMap(f.params, images, f.verified)
-
-
-class _WordCache:
-    """Maps of words keyed by (params, paper_literal, term budget, atoms),
-    least recently used first, holding at most WORD_CACHE_TERMS terms.
-
-    The budget is part of the key because a composition that fits one budget
-    can raise BudgetExceeded under a smaller one, so a word cached under one
-    budget raises under another exactly where a cold composition does.
-    Stored maps take their tuples from one intern pool per pair, dropped
-    with the last entry that uses it.  The lock makes each lookup and store
-    atomic, so threads can share the cache; compositions run outside it.
-    """
-
-    def __init__(self):
-        self.maps: OrderedDict = OrderedDict()  # key -> (map, terms)
-        self.terms = 0
-        self.pools: dict = {}  # params -> [intern pool, entries using it]
-        self.lock = threading.Lock()
-
-    def clear(self) -> None:
-        with self.lock:
-            self.maps.clear()
-            self.pools.clear()
-            self.terms = 0
-
-    def longest_prefix(self, head: tuple, word: tuple):
-        """(j, map of word[:j]) for the longest cached prefix, or (0, None)."""
-        with self.lock:
-            for j in range(len(word), 0, -1):
-                key = head + (word[:j],)
-                entry = self.maps.get(key)
-                if entry is not None:
-                    self.maps.move_to_end(key)
-                    return j, entry[0]
-        return 0, None
-
-    def store(self, key: tuple, f: EndoMap) -> EndoMap:
-        """Cache f under key if it fits the bound; return the map to hand out."""
-        size = sum(e.num_terms for e in f.images)
-        if size > WORD_CACHE_TERMS:
-            return f
-        with self.lock:
-            entry = self.maps.get(key)
-            if entry is not None:  # stored by another thread meanwhile
-                self.maps.move_to_end(key)
-                return entry[0]
-            while self.maps and self.terms + size > WORD_CACHE_TERMS:
-                (params, *_), (_, old) = self.maps.popitem(last=False)
-                self.terms -= old
-                pool = self.pools[params]
-                pool[1] -= 1
-                if not pool[1]:
-                    del self.pools[params]
-            pool = self.pools.setdefault(key[0], [{}, 0])
-            pool[1] += 1
-            f = _interned(f, pool[0])
-            self.maps[key] = (f, size)
-            self.terms += size
-            return f
-
-
-_words = _WordCache()
-
-
-def clear_word_cache() -> None:
-    """Forget every cached word."""
-    _words.clear()
+#: y_n -> y_(c - n) for the reflections among the letters
+_REFLECTIONS = {"s2": 4, "s3": 6, "h": 5}
 
 
 def compose_word(
     params: Params, word, paper_literal: bool = False
 ) -> EndoMap:
-    """Compose a word of atoms left to right (leftmost acts last).
+    """The map of a word of atoms, leftmost acting last.
 
-    Starts from the longest prefix of the word in the word cache, composes
-    the remaining atoms one at a time and caches each new prefix, so a
-    cached word returns the same map, in the same dict order, as a cold one.
+    Each atom sends every y_n to t^e y_n': s2, s3, h and sp(p) to y_(c-n)
+    with c = 4, 6, 5 and 2p, r^k to y_(n-2k), and m(i, j) to t^e y_n with
+    e = (-u, -v, u, v)[n mod 4], u = (m/a) i, v = (m/b) j.  So the atoms
+    are folded right to left over the pairs (e, n) of y1..y4, and each image
+    is t^e times the table entry ``cluster.surface_var(n)``, over
+    Z[t]/(t^m - 1) when the word has an m atom.  ``paper_literal`` words,
+    whose sigma3 is no automorphism when a != b, go through
+    ``compose_letters``.
     """
-    word = tuple(word)
-    head = (params, paper_literal, current_max_terms())
-    done, result = _words.longest_prefix(head, word)
-    if result is None:
-        result = identity(params)
-    for j in range(done, len(word)):
-        f = compose(result, make_generator(params, word[j], paper_literal))
-        result = _words.store(head + (word[: j + 1],), f)
-    return result
+    if paper_literal:
+        return compose_letters(params, word, True)
+    from .cluster import surface_var  # cluster imports this module
+
+    a, b, m = params.a, params.b, params.m
+    exps, ns, ring = [0, 0, 0, 0], [1, 2, 3, 4], ZZ
+    for atom in reversed(word):
+        kind = atom[0]
+        if kind == "m":
+            u, v = (m // a) * (atom[1] % a), (m // b) * (atom[2] % b)
+            exps = [e + (-u, -v, u, v)[n % 4] for e, n in zip(exps, ns)]
+            ring = root_surrogate(m)
+        elif kind == "r":
+            ns = [n - 2 * atom[1] for n in ns]
+        else:
+            if kind == "h" and a != b:
+                raise SwapRequiresEqualParams(f"swap undefined for {params}")
+            c = 2 * atom[1] if kind == "sp" else _REFLECTIONS[kind]
+            ns = [c - n for n in ns]
+    ys = [embed(surface_var(params, n), ring) for n in ns]
+    images = tuple(
+        LaurentPoly(ring, K.scale_terms(y.term_map(), (0, 0, 0, 0, e % m), 1)) if e % m else y
+        for y, e in zip(ys, exps)
+    )
+    return EndoMap(params, images, True)
+
+
+def compose_letters(
+    params: Params, word, paper_literal: bool = False
+) -> EndoMap:
+    """The map of a word composed one letter at a time, uncached: the path
+    of ``paper_literal`` words and the tests' reference for compose_word.
+
+    ('r', k) is (s2 s3)^k, or (s3 s2)^|k| when k < 0, and ('sp', p) is
+    r^(2-p) s2.  At the finite pairs |k| is first reduced modulo the order
+    of r, except for literal words at a != b, whose sigma3 differs.
+    """
+    from .cluster import expected_period  # cluster imports this module
+
+    period = expected_period(params)
+    order = None
+    if period and not (paper_literal and params.a != params.b):
+        order = period // gcd(period, 2)  # r shifts indices by 2
+    f = identity(params)
+    for atom in word:
+        if atom[0] not in ("r", "sp"):
+            f = compose(f, make_generator(params, atom, paper_literal))
+            continue
+        k = atom[1] if atom[0] == "r" else 2 - atom[1]
+        first, second = sigma2(params), sigma3(params, paper_literal)
+        if k < 0:
+            first, second = second, first
+        for _ in range(abs(k) % order if order else abs(k)):
+            f = compose(compose(f, first), second)
+        if atom[0] == "sp":
+            f = compose(f, sigma2(params))
+    return f
 
 
 def order_of(f: EndoMap, cap: int = 16) -> int | None:
@@ -392,7 +337,8 @@ def factorize(f: EndoMap, max_word: int = 16) -> list:
 
     The group element of f is read at one point (``autgroup.identify``) and
     its word taken from the group (``autgroup.factor_word``); the word is
-    accepted only when it composes back to f exactly.  Maps that are no
+    accepted only when its ``compose_word`` map, the index action of each
+    atom on the exact table of y_n, equals f.  Maps that are no
     group element, or whose reading fails that check, go down the degree
     descent: pre-compose with whichever of sigma2/sigma3 strictly lowers
     the total weighted degree of the images, and read the result again.

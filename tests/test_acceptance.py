@@ -256,7 +256,7 @@ def test_criterion_09_homomorphism():
         st = ag.structure_of(params)
         for _ in range(100):
             word = [pool[rng.randrange(len(pool))] for _ in range(rng.randrange(0, 7))]
-            direct = surf.compose_word(params, word)
+            direct = surf.compose_letters(params, word)
             via = ag.to_endo(ag.from_word(st, word))
             ok = ok and surf.equal(direct, via)
             checked += 1

@@ -409,6 +409,71 @@ def test_surrogate_output_bytes_are_pinned(capsys):
         assert run_cli(capsys, *argv, "--format", "json") == (0, js, "")
 
 
+def test_word_fold_output_bytes_are_pinned(capsys):
+    """Bytes recorded while words were still composed one letter at a time:
+    h at a != b on every word command, the ring that an m(0,0) atom selects,
+    and literal words, whose huge r^k at (1,1) is read modulo the order 5."""
+    for a, b in (("2", "1"), ("3", "2")):
+        err = f"error: SwapRequiresEqualParams: swap undefined for ({a},{b})\n"
+        for command in ("aut-compose", "aut-order", "aut-factor"):
+            for word in (["h"], ["s2", "h"], ["h", "s3"]):
+                assert run_cli(capsys, command, "--a", a, "--b", b, *word) == (1, "", err)
+    pinned = [
+        (["--a", "2", "--b", "1", "s2", "m(0,0)", "--format", "json"],
+         '{"a": 2, "b": 1, "images": [[[[0, 0, 1, 0], [1, 0]]], [[[0, 1, 0, 0], [1, 0]]], '
+         '[[[1, 0, 0, 0], [1, 0]]], [[[1, 0, 0, 1], [1, 0]], [[0, 1, 0, 0], [-1, 0]]]], '
+         '"verified": true, "word": "s2 m(0,0)"}\n'),
+        (["--a", "3", "--b", "2", "m(0,0)", "s3", "--format", "json"],
+         '{"a": 3, "b": 2, "images": [[[[1, 0, 0, 3], [1, 0, 0, 0, 0, 0]], '
+         '[[0, 0, 5, 0], [-1, 0, 0, 0, 0, 0]], [[0, 0, 3, 0], [-3, 0, 0, 0, 0, 0]], '
+         '[[0, 0, 1, 0], [-3, 0, 0, 0, 0, 0]]], [[[0, 0, 0, 1], [1, 0, 0, 0, 0, 0]]], '
+         '[[[0, 0, 1, 0], [1, 0, 0, 0, 0, 0]]], [[[0, 1, 0, 0], [1, 0, 0, 0, 0, 0]]]], '
+         '"verified": true, "word": "m(0,0) s3"}\n'),
+        (["--a", "2", "--b", "1", "--paper-literal", "s2", "s3"],
+         "y1 -> y1*y4^2 + y1 - y3 - 1\ny2 -> y1*y4 - y2\ny3 -> y1\ny4 -> y2\nverified: no\n"),
+        (["--a", "2", "--b", "1", "--paper-literal", "s2", "s3", "--format", "json"],
+         '{"a": 2, "b": 1, "images": [[[[1, 0, 0, 2], [1]], [[1, 0, 0, 0], [1]], '
+         '[[0, 0, 1, 0], [-1]], [[0, 0, 0, 0], [-1]]], [[[1, 0, 0, 1], [1]], '
+         '[[0, 1, 0, 0], [-1]]], [[[1, 0, 0, 0], [1]]], [[[0, 1, 0, 0], [1]]]], '
+         '"verified": false, "word": "s2 s3"}\n'),
+        (["--a", "1", "--b", "1", "--paper-literal", "r^99999999999999999999"],
+         "y1 -> y3\ny2 -> y4\ny3 -> y1*y4 - 1\ny4 -> y1\nverified: no\n"),
+        (["--a", "1", "--b", "1", "--paper-literal", "r^-99999999999999999995"],
+         "y1 -> y1\ny2 -> y2\ny3 -> y3\ny4 -> y4\nverified: yes\n"),
+    ]
+    for argv, out in pinned:
+        assert run_cli(capsys, "aut-compose", *argv) == (0, out, "")
+    assert run_cli(
+        capsys, "aut-order", "--a", "1", "--b", "1", "--paper-literal", "r^99999999999999999999"
+    ) == (0, "5\n", "")
+
+
+def test_budget_refusals_do_not_depend_on_history(capsys):
+    """The group structure and the generators are kept per term budget, so
+    a request refused in a fresh process is refused after a default-budget
+    run of the same pair too."""
+    from clusteraut import autgroup, surface
+
+    refused = [
+        ["group-structure", "--a", "2", "--b", "2"],
+        ["group-mul", "--a", "3", "--b", "2", "s2", "s3"],
+    ]
+    caches = (
+        surface.identity, surface.sigma2, surface.sigma3, surface.scaling, surface.swap,
+        autgroup.structure_of, autgroup._reading, autgroup._residue_words,
+    )
+    for fn in caches:
+        fn.cache_clear()
+    clear_walk_cache()
+    err = "budget exceeded: normal form budget exhausted\n"
+    for argv in refused:
+        assert run_cli(capsys, *argv, "--max-terms", "3") == (3, "", err)
+    for argv in refused:
+        assert run_cli(capsys, *argv)[0] == 0
+        for _ in range(2):
+            assert run_cli(capsys, *argv, "--max-terms", "3") == (3, "", err)
+
+
 def test_map_json_with_spread_coefficients_keeps_budget_refusals(capsys, tmp_path):
     """Maps read with --map-json may carry coefficients over several powers
     of t, which no group element has.  Under --max-terms each y-monomial is

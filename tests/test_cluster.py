@@ -471,8 +471,8 @@ def test_identity_checks_match_cold_checks(check):
             warm = results[max_terms] = [outcome_of(p) for p in pairs]
             assert [outcome_of(p) for p in pairs] == warm
             for params, got in zip(pairs, warm):
-                cluster._identity_y0.cache_clear()
-                cluster._identity_y5.cache_clear()
+                verify_identity_y0.cache_clear()
+                verify_identity_y5.cache_clear()
                 assert outcome_of(params) == got, (params, max_terms)
     assert any(isinstance(got, str) for got in results[3])
     assert results[current_max_terms()] == [

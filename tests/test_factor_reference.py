@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import pytest
 
-from clusteraut import autgroup, surface
+from clusteraut import autgroup, cluster, surface
 from clusteraut.cli import main
 from clusteraut.errors import EngineError, FactorizationFailed
 from clusteraut.poly import LaurentPoly, Params
@@ -39,12 +39,10 @@ from clusteraut.textio import parse_word, print_word
 def _residue_candidates(params: Params) -> tuple:
     """All products (alternating sigma word of length <= 5) o scaling o swap^e,
     paired with their words.  Covers every finite-type group element and every
-    local-minimum residue of the descent in the infinite cases.  The maps of
-    one table take their tuples from one intern pool."""
+    local-minimum residue of the descent in the infinite cases."""
     dihedral = [()]
     for pair in ((("s2",), ("s3",)), (("s3",), ("s2",))):
         dihedral += [(pair * 3)[:n] for n in range(1, 6)]
-    pool: dict = {}
     candidates = []
     swaps: list[tuple[tuple, EndoMap]] = [((), identity(params))]
     if params.a == params.b:
@@ -61,7 +59,7 @@ def _residue_candidates(params: Params) -> tuple:
                     mend = scaling(params, i, j)
                 for hword, hend in swaps:
                     endo = compose(dend, compose(mend, hend))
-                    candidates.append((dword + mword + hword, surface._interned(endo, pool)))
+                    candidates.append((dword + mword + hword, endo))
     return tuple(candidates)
 
 
@@ -305,19 +303,27 @@ def test_a_wrong_group_order_is_refused_by_the_proof(monkeypatch):
 
 @pytest.fixture
 def compose_counter(monkeypatch):
-    """[compositions, terms in their results], counted from a cold start."""
+    """[compositions and steps of the table of y_n, terms in their results],
+    counted from a cold start."""
     counts = [0, 0]
-    real = surface.compose
+    real_compose, real_step = surface.compose, cluster._surface_step
 
     def counted(*args, **kwargs):
-        f = real(*args, **kwargs)
+        f = real_compose(*args, **kwargs)
         counts[0] += 1
         counts[1] += sum(e.num_terms for e in f.images)
         return f
 
+    def counted_step(*args):
+        y = real_step(*args)
+        counts[0] += 1
+        counts[1] += y.num_terms
+        return y
+
     monkeypatch.setattr(surface, "compose", counted)
     monkeypatch.setattr(autgroup, "compose", counted)
-    surface.clear_word_cache()
+    monkeypatch.setattr(cluster, "_surface_step", counted_step)
+    cluster.clear_walk_cache()
     for cache in (autgroup.structure_of, autgroup._reading, autgroup._residue_words):
         cache.cache_clear()
     return counts

@@ -18,6 +18,7 @@ from clusteraut.autgroup import (
 from clusteraut.budget import limit
 from clusteraut.errors import (
     BudgetExceeded,
+    ConjugationNotScaling,
     NotFiniteType,
     StructureMismatch,
     SwapRequiresEqualParams,
@@ -25,7 +26,7 @@ from clusteraut.errors import (
 from clusteraut.poly import Params
 from clusteraut.surface import (
     compose,
-    compose_word,
+    compose_letters,
     equal,
     identity,
     scaling,
@@ -128,7 +129,7 @@ def test_word_homomorphism_random():
         for _ in range(20):
             word = random_word(rng, params, max_len, allow_sp=finite)
             x = from_word(st, word)
-            assert equal(to_endo(x), compose_word(params, word))
+            assert equal(to_endo(x), compose_letters(params, word))
 
 
 def test_gmul_matches_composition_on_finite_groups():
@@ -150,7 +151,7 @@ def test_gmul_matches_composition_random_infinite():
             wx = random_word(rng, params, 2)
             wy = random_word(rng, params, 2)
             x, y = from_word(st, wx), from_word(st, wy)
-            assert equal(to_endo(gmul(x, y)), compose_word(params, wx + wy))
+            assert equal(to_endo(gmul(x, y)), compose_letters(params, wx + wy))
 
 
 def test_group_axioms_abstract():
@@ -255,7 +256,7 @@ def test_pentagon_case_special_relation():
         params, [LaurentPoly.variable(i) for i in (4, 3, 2, 1)]
     )
     assert equal(to_endo(w), reversal)
-    assert equal(to_endo(from_word(st, [("sp", 3)])), compose_word(params, [("sp", 3)]))
+    assert equal(to_endo(from_word(st, [("sp", 3)])), compose_letters(params, [("sp", 3)]))
 
 
 def test_scaling_commutes_in_b2_case():
@@ -312,3 +313,43 @@ def test_r_atom_folds_as_one_power():
     huge = 10 ** 20
     assert from_word(st, [("r", huge), ("s2",)]) == GroupElement(st, huge, 1)
     assert from_word(st, parse_word(f"r^-{huge} h")) == GroupElement(st, -huge, h=1)
+
+
+def reference_action_tables(params):
+    """The tables as they were first derived: each conjugate of a basis
+    scaling matched against every scaling in turn."""
+    a, b = params.a, params.b
+
+    def table(g):
+        cols = []
+        for basis in ((1, 0), (0, 1)):
+            conj = compose(compose(g, scaling(params, *basis)), g)
+            hits = [(i, j) for i in range(a) for j in range(b) if equal(conj, scaling(params, i, j))]
+            cols.append(hits[0])
+        return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
+
+    return {
+        "s2": table(sigma2(params)),
+        "s3": table(sigma3(params)),
+        "h": table(swap(params)) if a == b else None,
+    }
+
+
+def test_action_tables_match_the_scaling_search():
+    """The tables read off the powers of t equal those the search over
+    every scaling finds, at every pair with a, b <= 6."""
+    for a in range(1, 7):
+        for b in range(1, 7):
+            params = Params(a, b)
+            assert autgroup.derive_action_tables(params) == reference_action_tables(params)
+
+
+def test_a_conjugate_that_is_no_scaling_is_refused():
+    # the literal s3 at (2,1) does not normalize the scalings
+    params = Params(2, 1)
+    g = sigma3(params, True)
+    assert autgroup._read_scaling(params, compose(compose(g, scaling(params, 1, 0)), g)) is None
+    assert autgroup._read_scaling(params, sigma2(params)) is None
+    with pytest.raises(ConjugationNotScaling) as exc:
+        autgroup._conjugation_table(params, g, "s3")
+    assert str(exc.value) == "conjugate of scaling(1, 0) by s3 is not a scaling"

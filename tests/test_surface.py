@@ -1,6 +1,7 @@
 """Surface elements and endomorphisms: normal-form confluence against an
 independent rewriter, composition against rational-point evaluation, word
 algebra, factorization, and serialization."""
+import itertools
 import json
 import random
 import sys
@@ -12,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusteraut import autgroup, cluster, surface
-from clusteraut.budget import limit
-from clusteraut.cluster import cluster_var, laurent_expand
+from clusteraut.budget import current_max_terms, limit
+from clusteraut.cluster import clear_walk_cache, cluster_var, laurent_expand, surface_var
 from clusteraut.errors import (
     BudgetExceeded,
     FactorizationFailed,
@@ -25,8 +26,8 @@ from clusteraut.poly import LaurentPoly, Params
 from clusteraut.rings import ZZ
 from clusteraut.surface import (
     EndoMap,
-    clear_word_cache,
     compose,
+    compose_letters,
     compose_word,
     endo_from_json,
     endo_from_obj,
@@ -39,7 +40,6 @@ from clusteraut.surface import (
     make_generator,
     normal_form,
     order_of,
-    rotation,
     scaling,
     sigma2,
     sigma3,
@@ -460,11 +460,11 @@ def test_serialization_verify_flag():
     assert endo_from_obj(endo_to_obj(sigma2(params))).verified
 
 
-# -- the word cache ----------------------------------------------------------
+# -- the table of surface variables -----------------------------------------
 
 
 def fold(params, word, paper_literal=False):
-    """A word of letters composed left to right without the word cache."""
+    """A word of letters composed left to right, one letter at a time."""
     f = identity(params)
     for atom in word:
         f = compose(f, make_generator(params, atom, paper_literal))
@@ -479,8 +479,14 @@ def same_terms(f, g):
     )
 
 
-def map_terms(f):
-    return sum(e.num_terms for e in f.images)
+def outcome(fn, params, word):
+    """(verified, (ring, term map) per image) of a word's map, or the
+    class and text of the error it raises."""
+    try:
+        f = fn(params, word)
+    except SwapRequiresEqualParams as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return (f.verified, tuple((e.ring, e.term_map()) for e in f.images))
 
 
 def random_letters(rng, params, max_len):
@@ -490,115 +496,206 @@ def random_letters(rng, params, max_len):
     return [rng.choice(atoms) for _ in range(rng.randrange(0, max_len + 1))]
 
 
+def surface_entries():
+    """{(params, n): value} for every surface variable in the walk cache."""
+    entries = {}
+    for (params, kind, *rest), prefix in cluster._walks.walks.items():
+        if kind == "surface":
+            for i, value in enumerate(prefix.values):
+                entries[params, i + 1 if rest[0] == 1 else 4 - i] = value
+    return entries
+
+
 def check_cache_consistent():
-    words = surface._words
-    entries = words.maps.items()
-    assert words.terms == sum(size for _, (_, size) in entries)
-    assert all(size == map_terms(f) for _, (f, size) in entries)
-    users = {}
-    for key in words.maps:
-        users[key[0]] = users.get(key[0], 0) + 1
-    assert {p: pool[1] for p, pool in words.pools.items()} == users
+    walks = cluster._walks
+    entries = walks.walks.values()
+    assert walks.terms == sum(e.terms for e in entries) <= cluster.WALK_CACHE_TERMS
+    assert all(e.terms == sum(v.num_terms for v in e.values) for e in entries)
 
 
-def test_word_cache_warm_and_cold_agree():
+def test_fold_matches_letters_on_short_words():
+    """Every word of up to four letters over s2, s3, h and the scalings maps
+    to the letter-by-letter composition, as term maps and ring; h at a != b
+    raises the same error on both paths."""
+    for a, b in ((1, 1), (2, 1), (2, 2)):
+        params = Params(a, b)
+        letters = [("s2",), ("s3",), ("h",)]
+        letters += [("m", i, j) for i in range(a) for j in range(b)]
+        for n in range(5):
+            for word in itertools.product(letters, repeat=n):
+                want = outcome(compose_letters, params, word)
+                assert outcome(compose_word, params, word) == want, (a, b, word)
+
+
+def test_fold_matches_letters_on_random_words_with_powers():
+    rng = random.Random(12)
+    # (pair, largest |k| of r^k and |2 - p| of sp(p), longest word): the
+    # wild pair keeps its indices where y_n has at most a few hundred terms
+    for (a, b), reach, longest in (((3, 1), 9, 6), ((4, 1), 2, 4), ((3, 2), 1, 3)):
+        params = Params(a, b)
+        for _ in range(25):
+            atoms = [
+                ("s2",), ("s3",), ("m", rng.randrange(a), rng.randrange(b)),
+                ("r", rng.randint(-reach, reach)), ("sp", 2 + rng.randint(-reach, reach)),
+            ]
+            word = [rng.choice(atoms) for _ in range(rng.randint(0, longest))]
+            want = outcome(compose_letters, params, word)
+            assert outcome(compose_word, params, word) == want, (a, b, word)
+
+
+def point_value(params, y):
+    """y at the F_p point that ``autgroup.identify`` reads maps at."""
+    _, point, _ = autgroup._reading(params)
+    p1, p2, p3, p4 = point
+    q = autgroup.PRIME
+    value = 0
+    for (i, j, k, l, _), c in y.terms():
+        value += c * pow(p1, i, q) * pow(p2, j, q) * pow(p3, k, q) * pow(p4, l, q)
+    return value % q
+
+
+def test_every_surface_variable_is_checked_three_ways():
+    """Each table entry built here through words equals the cluster walk's
+    y_n in the Laurent ring and takes the value of y_n in the orbit of the
+    F_p point; each takes part in an exchange relation y_(n-1) y_(n+1) =
+    y_n^c + 1, checked in normal form."""
+    rng = random.Random(5)
+    clear_walk_cache()
+    for a, b, reach in ((1, 1, 6), (2, 1, 6), (1, 3, 6), (2, 2, 4), (4, 1, 3), (1, 4, 3), (3, 2, 1)):
+        params = Params(a, b)
+        for _ in range(10):
+            compose_word(params, random_letters(rng, params, 4))
+        compose_word(params, [("r", reach)])
+        compose_word(params, [("r", -reach)])
+    entries = surface_entries()
+    assert len(entries) >= 50
+    related = set()
+    for (params, n), y in entries.items():
+        assert y is surface_var(params, n)
+        assert laurent_expand(params, y) == cluster_var(params, n).value, (params, n)
+        period = cluster.expected_period(params)
+        _, _, orbit = autgroup._reading(params)
+        assert orbit[point_value(params, y)] == ((n - 1) % period + 1 if period else n)
+        if period is None and not all(
+            (params, m) in entries or 1 <= m <= 4 for m in (n - 1, n + 1)
+        ):
+            continue  # an end of its walk: checked as a neighbour
+        c = params.a if n % 2 == 0 else params.b
+        lo, hi = surface_var(params, n - 1), surface_var(params, n + 1)
+        assert normal_form(params, lo * hi - y ** c - LaurentPoly.one()).is_zero()
+        related |= {(params, n - 1), (params, n), (params, n + 1)}
+    assert set(entries) <= related
+
+
+def test_surface_table_warm_and_cold_agree():
     rng = random.Random(7)
     for a, b in ((1, 1), (2, 1), (2, 2), (3, 2), (1, 3)):
         params = Params(a, b)
-        words = [random_letters(rng, params, 5) for _ in range(12)]
-        cold = [fold(params, w) for w in words]
-        clear_word_cache()
-        first = [compose_word(params, w) for w in words]
-        for word, f, want in zip(words, first, cold):
-            assert same_terms(f, want)
-            assert compose_word(params, word) is f
-            # a longer word starts from the cached map of this one
-            assert same_terms(
-                compose_word(params, word + [("s3",)]), fold(params, word + [("s3",)])
-            )
+        ns = range(-3, 9) if a * b < 6 else range(-2, 8)
+        clear_walk_cache()
+        warm = {n: surface_var(params, n) for n in ns}
+        for n, y in warm.items():
+            assert surface_var(params, n) is y
+        for n, y in warm.items():
+            clear_walk_cache()
+            assert list(surface_var(params, n).terms()) == list(y.terms())
         check_cache_consistent()
-    clear_word_cache()
-    assert surface._words.terms == 0 and not surface._words.pools
+        # a word's map is built from the entries, whether they were cached or not
+        words = [random_letters(rng, params, 5) for _ in range(12)]
+        warm_maps = [compose_word(params, w) for w in words]
+        for word, f in zip(words, warm_maps):
+            clear_walk_cache()
+            assert same_terms(compose_word(params, word), f)
+            assert outcome(compose_word, params, word) == outcome(compose_letters, params, word)
+    clear_walk_cache()
+    assert cluster._walks.terms == 0 and not surface_entries()
 
 
-def test_word_cache_is_keyed_by_budget():
+def test_surface_table_is_keyed_by_budget():
     params = Params(3, 2)
-    word = [("s2",), ("s3",), ("s2",)]
-    clear_word_cache()
-    compose_word(params, word + [("s3",)])
+    word = [("s2",), ("s3",), ("s2",)]  # y1, y0, y-1 and y-2: 43 terms
+    clear_walk_cache()
+    want = compose_word(params, word + [("s3",)])
     with limit(50):
         for w in (word, word + [("s3",)], [("sp", 0)], [("r", 2)]):
             with pytest.raises(BudgetExceeded):
                 compose_word(params, w)
     with limit(200):
-        assert same_terms(compose_word(params, word), fold(params, word))
-    assert same_terms(compose_word(params, word), fold(params, word))
+        f = compose_word(params, word)
+        assert outcome(compose_word, params, word) == outcome(compose_letters, params, word)
+    budgets = {key[3] for key in cluster._walks.walks if key[1] == "surface"}
+    assert budgets == {50, 200, current_max_terms()}
+    # the default budget's entries were kept through the refusals
+    assert all(
+        p is q for p, q in zip(compose_word(params, word + [("s3",)]).images, want.images)
+    )
+    assert not any(p is q for p, q in zip(compose_word(params, word).images[1:], f.images[1:]))
 
 
-def test_word_cache_is_keyed_by_paper_literal():
+def test_paper_literal_words_take_the_letter_path():
     params = Params(2, 3)
     word = [("s3",), ("s2",)]
-    for literal_first in (False, True):
-        clear_word_cache()
-        order = (True, False) if literal_first else (False, True)
-        got = {flag: compose_word(params, word, flag) for flag in order}
-        assert same_terms(got[False], fold(params, word))
-        assert same_terms(got[True], fold(params, word, True))
-        assert got[False].verified and not got[True].verified
-        assert not equal(got[False], got[True])
+    clear_walk_cache()
+    literal = compose_word(params, word, True)
+    assert not surface_entries()
+    assert same_terms(literal, fold(params, word, True))
+    assert same_terms(literal, compose_letters(params, word, True))
+    group = compose_word(params, word)
+    assert outcome(compose_word, params, word) == outcome(fold, params, word)
+    assert group.verified and not literal.verified
+    assert not equal(group, literal)
 
 
-def test_word_cache_stays_within_its_bound(monkeypatch):
-    bound = 40
-    monkeypatch.setattr(surface, "WORD_CACHE_TERMS", bound)
+def test_surface_table_stays_within_its_bound(monkeypatch):
+    bound = 250
     params = Params(2, 2)
-    word = [("s2",), ("s3",)] * 3
-    clear_word_cache()
-    for j in range(1, len(word) + 1):
-        # prefixes of 6, 11, 20, 34, 51 and 79 terms: the last two go uncached
-        assert same_terms(compose_word(params, word[:j]), fold(params, word[:j]))
-        assert surface._words.terms <= bound
+    cold = {n: cluster_var(params, n).value for n in range(-12, 17)}
+    monkeypatch.setattr(cluster, "WALK_CACHE_TERMS", bound)
+    clear_walk_cache()
+    for n in range(5, 17):
+        # the upward walk holds y1..y4 and 232 more terms through y13
+        assert laurent_expand(params, surface_var(params, n)) == cold[n]
         check_cache_consistent()
-    assert [len(key[-1]) for key in surface._words.maps] == [4]
-    # least recently used entries go first, and a pair's intern pool with them
-    monkeypatch.setattr(surface, "WORD_CACHE_TERMS", 12)
-    clear_word_cache()
-    for p in (Params(1, 1), Params(2, 1), Params(1, 1)):
-        compose_word(p, [("s2",)])  # 5 terms each
-    compose_word(params, [("s2",)])  # 6 terms: evicts (2,1), used before (1,1)
-    assert [key[0] for key in surface._words.maps] == [Params(1, 1), params]
-    assert set(surface._words.pools) == {Params(1, 1), params}
-    check_cache_consistent()
+    up = (params, "surface", 1, current_max_terms())
+    down = (params, "surface", -1, current_max_terms())
+    assert len(cluster._walks.walks[up].values) == 13
+    # y0 and y-1 fit beside the upward walk; y-3 evicts it, the least
+    # recently used, and the downward walk goes on uncached past y-8
+    for n in range(0, -13, -1):
+        assert laurent_expand(params, surface_var(params, n)) == cold[n]
+        check_cache_consistent()
+        assert list(cluster._walks.walks) == ([up, down] if n > -3 else [down])
+    assert len(cluster._walks.walks[down].values) == 13
 
 
-def test_threads_share_the_word_cache_safely(monkeypatch):
-    # A small bound and frequent clears make the threads evict, store and
-    # look up entries of the same pairs at the same time.
-    monkeypatch.setattr(surface, "WORD_CACHE_TERMS", 120)
+def test_threads_share_the_surface_table_safely(monkeypatch):
+    # A small bound and frequent clears make the threads evict, extend and
+    # look up the walks of the same pairs at the same time.
+    monkeypatch.setattr(cluster, "WALK_CACHE_TERMS", 120)
     rng = random.Random(3)
     cases = []
     for a, b in ((1, 1), (2, 1), (2, 2), (1, 3)):
         params = Params(a, b)
         for _ in range(8):
-            word = random_letters(rng, params, 5)
-            cases.append((params, word, fold(params, word)))
+            word = random_letters(rng, params, 4) + [("r", rng.randint(-2, 2))]
+            cases.append((params, word, outcome(compose_letters, params, word)))
     errors = []
 
     def worker(seed):
         r = random.Random(seed)
         try:
-            for _ in range(400):
+            for _ in range(250):
                 if r.random() < 0.05:
-                    clear_word_cache()
+                    clear_walk_cache()
                 params, word, want = r.choice(cases)
-                assert same_terms(compose_word(params, word), want)
+                assert outcome(compose_word, params, word) == want
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        clear_word_cache()
+        clear_walk_cache()
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
         for t in threads:
             t.start()
@@ -608,42 +705,33 @@ def test_threads_share_the_word_cache_safely(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert surface._words.terms <= 120
     check_cache_consistent()
-
-
-def test_interned_maps_equal_fresh_ones():
-    for a, b in ((2, 2), (3, 2), (4, 1)):
-        params = Params(a, b)
-        clear_word_cache()
-        words = [[("s2",), ("s3",), ("m", 1, 1)], [("m", 1, 0), ("s3",), ("s2",)], [("s2",)]]
-        maps = [compose_word(params, w) for w in words]
-        for w, f in zip(words, maps):
-            assert same_terms(f, fold(params, w))
-        seen = {}
-        for f in maps:
-            for e in f.images:
-                for k, _ in e.terms():
-                    assert seen.setdefault(k, k) is k
+    for (params, n), y in surface_entries().items():
+        assert laurent_expand(params, y) == cluster_var(params, n).value
 
 
 def test_rotation_atoms_match_their_letters():
-    """('r', k) and ('sp', p) compose to the maps of their expanded words,
-    and at the finite pairs k is reduced modulo the order of r."""
+    """('r', k) and ('sp', p) map as their expanded words, and at the finite
+    pairs k is reduced modulo the order of r."""
     for a, b in ((1, 1), (2, 1), (3, 1), (2, 2)):
         params = Params(a, b)
         for k in range(-5, 6):
             pair = [("s2",), ("s3",)] if k >= 0 else [("s3",), ("s2",)]
             letters = pair * abs(k)
-            assert equal(rotation(params, k), fold(params, letters))
-            assert equal(compose_word(params, [("s3",), ("r", k)]), fold(params, [("s3",)] + letters))
-            p = 2 - k
-            assert equal(compose_word(params, [("sp", p)]), fold(params, letters + [("s2",)]))
+            for word, expanded in (
+                ([("r", k)], letters),
+                ([("s3",), ("r", k)], [("s3",)] + letters),
+                ([("sp", 2 - k)], letters + [("s2",)]),
+            ):
+                want = outcome(fold, params, expanded)
+                assert outcome(compose_word, params, word) == want
+                assert outcome(compose_letters, params, word) == want
     huge = 10 ** 20
     for a, b, order in ((1, 1, 5), (2, 1, 3), (1, 3, 4)):
         params = Params(a, b)
-        assert equal(rotation(params, huge), rotation(params, huge % order))
-        assert equal(rotation(params, -huge), rotation(params, -huge % order))
+        for k in (huge, -huge):
+            for fn in (compose_word, compose_letters):
+                assert equal(fn(params, [("r", k)]), fn(params, [("r", k % order)]))
         assert equal(compose_word(params, [("sp", huge)]), compose_word(params, [("sp", 2 - (2 - huge) % order)]))
 
 
@@ -671,3 +759,15 @@ def test_generator_caches_are_bounded():
     for fn in caches:
         info = fn.cache_info()
         assert info.currsize == info.maxsize, fn.__name__
+    # each entry is kept per term budget: a second budget adds as many
+    # entries for the same calls
+    for fn in caches:
+        fn.cache_clear()
+    sizes = []
+    for budget in (500, current_max_terms()):
+        with limit(budget):
+            for fn in caches:
+                args = (Params(2, 2), 1, 1) if fn is surface.scaling else (Params(2, 2),)
+                assert fn(*args) is fn(*args)
+        sizes.append([fn.cache_info().currsize for fn in caches])
+    assert sizes[1] == [2 * n for n in sizes[0]] and min(sizes[0]) >= 1

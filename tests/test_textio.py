@@ -4,6 +4,8 @@ Round trips, canonical printing, and error positions."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusteraut.errors import ParseError
 from clusteraut.poly import LaurentPoly, Params
@@ -120,3 +122,44 @@ def test_word_parse_errors():
     for text in ("s4", "m(1)", "sp", "m(2,3", "q", "m(a,b)"):
         with pytest.raises(ParseError):
             parse_word(text)
+
+
+# -- property round trips -----------------------------------------------------
+
+huge_ints = st.integers(-(10 ** 30), 10 ** 30) | st.integers(-5, 5)
+
+canonical_atoms = st.one_of(
+    st.sampled_from([("s2",), ("s3",), ("h",)]),
+    st.tuples(st.just("r"), huge_ints.filter(lambda k: k != 0)),
+    st.tuples(st.just("sp"), huge_ints),
+    st.tuples(st.just("m"), huge_ints, huge_ints),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(atoms=st.lists(canonical_atoms, max_size=8))
+def test_word_round_trip_property(atoms):
+    """Every canonical atom list, r^k with huge and negative k included,
+    reads back from its printed word."""
+    assert parse_word(print_word(atoms)) == atoms
+
+
+@st.composite
+def polys_and_params(draw):
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    params = Params(a, b)
+    ring = draw(st.sampled_from([ZZ, root_surrogate(params.m)]))
+    keys = st.tuples(
+        *[st.integers(-6, 6)] * 4, st.integers(0, max(ring.m - 1, 0))
+    )
+    terms = draw(st.dictionaries(keys, st.integers(-(10 ** 12), 10 ** 12), max_size=8))
+    return params, LaurentPoly.from_terms(ring, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=polys_and_params())
+def test_poly_round_trip_property(case):
+    """Every polynomial over Z or Z[t]/(t^m - 1), with negative exponents
+    and zero coefficients dropped, reads back from its canonical text."""
+    params, p = case
+    assert parse_poly(print_poly(p, params), p.ring) == p
