@@ -19,7 +19,7 @@ from . import autgroup, cluster, geom
 from . import surface as surf
 from .budget import DEFAULT_MAX_TERMS, limit
 from .errors import BudgetExceeded, EngineError, ParseError
-from .poly import Params
+from .poly import Params, descending_keys
 from .textio import parse_word, print_poly, print_word
 
 DEFAULT_MAX_WORD = 16
@@ -54,14 +54,15 @@ def _params(args) -> Params:
 def cmd_cluster(args):
     params = _params(args)
     var = cluster.cluster_var(params, args.n)
-    text_poly = print_poly(var.value, params)
+    keys = descending_keys(var.value, params)  # the order of both forms
+    text_poly = print_poly(var.value, params, keys)
     payload = {
         "a": params.a,
         "b": params.b,
         "n": args.n,
         "num_terms": var.value.num_terms,
         "positive": var.positive,
-        "terms": surf.term_rows(var.value, params),
+        "terms": surf.term_rows(var.value, params, keys),
         "text": text_poly,
     }
     text = "\n".join(

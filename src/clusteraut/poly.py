@@ -219,6 +219,12 @@ def weighted_degree(p: LaurentPoly, params: Params) -> int:
     return K.max_weighted_degree(p._terms, params.weights)
 
 
+def descending_keys(p: LaurentPoly, params: Params) -> list:
+    """The keys of p in descending weighted order."""
+    w = params.weights
+    return sorted(p._terms, key=lambda e: K.order_key(e, w), reverse=True)
+
+
 def leading_term(p: LaurentPoly, params: Params) -> tuple[Key, int]:
     """The order-maximal (key, coefficient) pair of p; undefined for 0."""
     if p.is_zero():

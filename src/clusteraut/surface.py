@@ -32,7 +32,7 @@ from .errors import (
     FactorizationFailed,
     SwapRequiresEqualParams,
 )
-from .poly import LaurentPoly, Params, embed, weighted_degree
+from .poly import LaurentPoly, Params, descending_keys, embed, weighted_degree
 from .rings import ZZ, CoeffRing, join, root_surrogate
 
 
@@ -49,26 +49,35 @@ def normal_form(params: Params, p: LaurentPoly) -> LaurentPoly:
 @dataclass(frozen=True)
 class EndoMap:
     """An algebra endomorphism given by generator images in normal form,
-    all four over one coefficient ring."""
+    all four over one coefficient ring.
+
+    ``verified`` says whether the images satisfy both exchange relations.
+    A constructor that knows the answer passes it; otherwise it is left
+    None and ``is_endomorphism`` computes it on first read.
+    """
 
     params: Params
     images: tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]
-    verified: bool
+    _verified: bool | None = None
 
     @classmethod
     def make(
-        cls, params: Params, images, verify: bool = True
+        cls, params: Params, images, verified: bool | None = None
     ) -> "EndoMap":
-        """Build from four polynomials (normalized here); verify the relations
-        unless told not to.  ``verified`` records the outcome of the check."""
+        """Build from four polynomials (normalized here).  The relations are
+        not checked here: ``verified`` is the answer when the caller knows
+        it, and is otherwise checked on first read."""
         ring = ZZ
         for p in images:
             ring = join(ring, p.ring)
         elems = tuple(embed(normal_form(params, p), ring) for p in images)
-        f = cls(params, elems, False)
-        if verify and is_endomorphism(f):
-            f = cls(params, elems, True)
-        return f
+        return cls(params, elems, verified)
+
+    @property
+    def verified(self) -> bool:
+        if self._verified is None:
+            object.__setattr__(self, "_verified", is_endomorphism(self))
+        return self._verified
 
     @property
     def ring(self) -> CoeffRing:
@@ -168,11 +177,14 @@ def sigma3(params: Params, paper_literal: bool = False) -> EndoMap:
 
     Images: (y5, y4, y3, y2), with y5 from ``y5_expression``.  The
     ``paper_literal`` variant violates the relations whenever a != b and is
-    kept only so verification reports can exhibit the discrepancy.
+    kept only so verification reports can exhibit the discrepancy; it is
+    marked unverified at every pair.
     """
     y2, y3, y4 = (LaurentPoly.variable(i) for i in (2, 3, 4))
     y5 = y5_expression(params, paper_literal)
-    return EndoMap.make(params, [y5, y4, y3, y2], verify=not paper_literal)
+    return EndoMap.make(
+        params, [y5, y4, y3, y2], verified=False if paper_literal else None
+    )
 
 
 @cache_per_budget(_SCALINGS)
@@ -227,6 +239,9 @@ def compose(f: EndoMap, g: EndoMap, caches=None) -> EndoMap:
 
     ``caches`` may hold power caches from a previous compose with the same
     left factor f (same ring), to share work across a chain of calls.
+    The result is verified when both factors are known to be and
+    unverified when either is known not to be; otherwise it is checked on
+    first read, and neither factor is checked here.
     """
     if f.params != g.params:
         raise ParamsMismatch(f"maps for {f.params} and {g.params}")
@@ -241,7 +256,9 @@ def compose(f: EndoMap, g: EndoMap, caches=None) -> EndoMap:
     for e in g.images:
         sub = K.substitute_terms(e.term_map(), f_maps, cap, caches, (a, b), m)
         out.append(LaurentPoly(ring, K.normal_form_terms(sub, a, b, m, cap)))
-    return EndoMap(params, tuple(out), f.verified and g.verified)
+    known = (f._verified, g._verified)
+    verified = False if False in known else (True if known == (True, True) else None)
+    return EndoMap(params, tuple(out), verified)
 
 
 #: y_n -> y_(c - n) for the reflections among the letters
@@ -374,15 +391,17 @@ def factorize(f: EndoMap, max_word: int = 16) -> list:
 # -- serialization ---------------------------------------------------------
 
 
-def term_rows(p: LaurentPoly, params: Params) -> list:
+def term_rows(p: LaurentPoly, params: Params, keys=None) -> list:
     """p as a list of [[e1, e2, e3, e4], coefficient-vector] pairs in
     descending weighted order.  Over the integers the vectors have length
     1; over the degree-m surrogate ring, length m, entry k holding the
-    coefficient of t^k."""
+    coefficient of t^k.  ``keys`` may give the order, as
+    ``descending_keys(p, params)`` does."""
     tp = p.term_map()
-    weights = params.weights
+    if keys is None:
+        keys = descending_keys(p, params)
     rows: dict = {}  # the terms of one monomial are adjacent in the order
-    for key in sorted(tp, key=lambda k: K.order_key(k, weights), reverse=True):
+    for key in keys:
         row = rows.get(key[:4])
         if row is None:
             row = rows[key[:4]] = [list(key[:4]), [0] * (p.ring.m or 1)]
@@ -417,8 +436,10 @@ def endo_from_obj(obj) -> EndoMap:
     vectors mixed in are read as integer constants of that ring).  Raises
     ParseError on malformed input: a missing field, a value of the wrong
     type (booleans are not integers), a negative exponent or a vector of
-    any other length.  The relations are always rechecked; ``verified``
-    records the outcome.
+    any other length, and then a repeated exponent within one image.  Each
+    row is validated and turned into terms in one pass.  The images are put
+    in normal form; the relations are not checked here, so ``verified`` is
+    computed by ``is_endomorphism`` on first read.
     """
     if not isinstance(obj, dict):
         raise _obj_error("expected an object")
@@ -429,49 +450,50 @@ def endo_from_obj(obj) -> EndoMap:
     if not (_is_int(a) and _is_int(b)) or a < 1 or b < 1:
         raise _obj_error("a and b must be positive integers")
     params = Params(a, b)
+    m = params.m
     images_obj = obj["images"]
     if not isinstance(images_obj, list) or len(images_obj) != 4:
         raise _obj_error("images must be a list of four polynomials")
 
-    def check_row(row):
-        if (
-            not isinstance(row, list)
-            or len(row) != 2
-            or not isinstance(row[0], list)
-            or len(row[0]) != 4
-            or not all(_is_int(v) for v in row[0])
-            or not isinstance(row[1], list)
-            or not row[1]
-            or not all(_is_int(v) for v in row[1])
-        ):
-            raise _obj_error(f"bad term entry {row!r}")
-        if any(v < 0 for v in row[0]):
-            raise _obj_error(f"negative exponent in term entry {row!r}")
-        if len(row[1]) not in (1, params.m):
-            raise _obj_error(
-                f"coefficient vector {row[1]!r} must have length 1 or {params.m}"
-            )
-
-    wide = False
+    wide, duplicate, term_maps = False, None, []
     for rows in images_obj:
         if not isinstance(rows, list):
             raise _obj_error("each image must be a list of terms")
+        seen, terms = set(), {}
         for row in rows:
-            check_row(row)
-            wide = wide or len(row[1]) > 1
-    ring = root_surrogate(params.m) if wide else ZZ
-    images = []
-    for rows in images_obj:
-        seen = set()
-        terms = []
-        for exps, vec in rows:
-            exps = tuple(exps)
-            if exps in seen:
-                raise _obj_error(f"duplicate exponent {exps}")
+            if (
+                not isinstance(row, list)
+                or len(row) != 2
+                or not isinstance(row[0], list)
+                or len(row[0]) != 4
+                or not all(_is_int(v) for v in row[0])
+                or not isinstance(row[1], list)
+                or not row[1]
+                or not all(_is_int(v) for v in row[1])
+            ):
+                raise _obj_error(f"bad term entry {row!r}")
+            exps, vec = tuple(row[0]), row[1]
+            if any(v < 0 for v in exps):
+                raise _obj_error(f"negative exponent in term entry {row!r}")
+            if len(vec) not in (1, m):
+                raise _obj_error(
+                    f"coefficient vector {vec!r} must have length 1 or {m}"
+                )
+            if exps in seen and duplicate is None:
+                duplicate = exps  # reported once every row has its shape
             seen.add(exps)
-            terms += [(exps + (k,), c) for k, c in enumerate(vec)]
-        images.append(LaurentPoly.from_terms(ring, terms))
-    return EndoMap.make(params, images)
+            wide = wide or len(vec) > 1
+            terms.update((exps + (k,), c) for k, c in enumerate(vec) if c)
+        term_maps.append(terms)
+    if duplicate is not None:
+        raise _obj_error(f"duplicate exponent {duplicate}")
+    ring = root_surrogate(m) if wide else ZZ
+    cap = current_max_terms()
+    images = tuple(
+        LaurentPoly(ring, K.normal_form_terms(tp, a, b, ring.m, cap))
+        for tp in term_maps
+    )
+    return EndoMap(params, images)
 
 
 def endo_from_json(src: str) -> EndoMap:

@@ -27,8 +27,7 @@ the empty word.
 from __future__ import annotations
 
 from .errors import ParseError
-from . import _kernel as K
-from .poly import LaurentPoly, Params
+from .poly import LaurentPoly, Params, descending_keys
 from .rings import ZZ, CoeffRing
 
 
@@ -208,17 +207,16 @@ def _format_piece(coeff: int, key) -> tuple[int, str]:
     return sign, "*".join(parts)
 
 
-def print_poly(p: LaurentPoly, params: Params) -> str:
+def print_poly(p: LaurentPoly, params: Params, keys=None) -> str:
     """Canonical text: terms in descending weighted order, the terms of one
-    monomial in ascending powers of t."""
-    weights = params.weights
+    monomial in ascending powers of t.  ``keys`` may give that order, as
+    ``descending_keys(p, params)`` does."""
     tp = p.term_map()
     if not tp:
         return "0"
-    pieces = [
-        _format_piece(tp[key], key)
-        for key in sorted(tp, key=lambda k: K.order_key(k, weights), reverse=True)
-    ]
+    if keys is None:
+        keys = descending_keys(p, params)
+    pieces = [_format_piece(tp[key], key) for key in keys]
     out = []
     for n, (sign, body) in enumerate(pieces):
         if n == 0:

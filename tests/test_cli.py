@@ -137,6 +137,118 @@ def test_aut_factor_malformed_maps_exit_two(capsys, tmp_path):
         assert err == f"error: bad map object: {message} (line 1, column 0)\n"
 
 
+def test_aut_factor_map_json_checks_no_relations(capsys, tmp_path, monkeypatch):
+    """aut-factor prints no ``verified``, so reading a map checks no
+    relations: the answer is proved by one equality with its word's map."""
+    from clusteraut import surface
+
+    calls = []
+    real = surface.is_endomorphism
+    monkeypatch.setattr(surface, "is_endomorphism", lambda f: calls.append(f) or real(f))
+    for a, b, word in (("2", "2", "r h"), ("3", "2", "s2 m(1,1) s3"), ("2", "1", "s3")):
+        code, payload, _ = run_json(capsys, "aut-compose", "--a", a, "--b", b, *word.split())
+        assert code == 0 and payload["verified"] is True
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({k: payload[k] for k in ("a", "b", "images")}))
+        code, payload, _ = run_json(capsys, "aut-factor", "--a", a, "--b", b,
+                                    "--map-json", str(path))
+        assert code == 0 and payload["recomposes"] is True
+    assert calls == []
+
+
+def _rows(*changes):
+    """The identity map's images with some images replaced."""
+    images = [[[[1, 0, 0, 0], [1]]], [[[0, 1, 0, 0], [1]]],
+              [[[0, 0, 1, 0], [1]]], [[[0, 0, 0, 1], [1]]]]
+    for i, rows in changes:
+        images[i] = rows
+    return images
+
+
+def test_map_json_with_two_faults_output_bytes_are_pinned(capsys, tmp_path):
+    """Bytes recorded while the loader still validated every row before it
+    built any term: each row's shape is checked before a duplicate exponent
+    is reported, and a wide vector anywhere selects the ring."""
+    bad = "error: bad map object: "
+    at = " (line 1, column 0)\n"
+    no_word = "error: FactorizationFailed: no descent and no residue match at measure "
+    cases = [
+        # a duplicate exponent, then a boolean coefficient
+        ("2", {"a": 2, "b": 2, "images": _rows(
+            (0, [[[1, 0, 0, 0], [1]], [[1, 0, 0, 0], [2]]]), (3, [[[0, 0, 0, 1], [True]]]))},
+         2, bad + "bad term entry [[0, 0, 0, 1], [True]]" + at),
+        # a negative exponent next to a vector of the wrong length, both ways
+        ("2", {"a": 2, "b": 2, "images": _rows(
+            (1, [[[0, -1, 0, 0], [1]], [[0, 1, 0, 0], [1, 0, 0]]]))},
+         2, bad + "negative exponent in term entry [[0, -1, 0, 0], [1]]" + at),
+        ("2", {"a": 2, "b": 2, "images": _rows(
+            (1, [[[0, 1, 0, 0], [1, 0, 0]], [[0, -1, 0, 0], [1]]]))},
+         2, bad + "coefficient vector [1, 0, 0] must have length 1 or 2" + at),
+        # duplicates in two images, the first of zero rows: the first is reported
+        ("3", {"a": 3, "b": 2, "images": _rows(
+            (2, [[[0, 0, 1, 0], [1]], [[0, 0, 1, 0], [1]]]),
+            (0, [[[0, 0, 0, 0], [1]], [[1, 0, 0, 0], [1]], [[0, 0, 0, 0], [0]]]))},
+         2, bad + "duplicate exponent (0, 0, 0, 0)" + at),
+        # a duplicate exponent, then an image that is no list
+        ("2", {"a": 2, "b": 1, "images": _rows(
+            (0, [[[1, 0, 0, 0], [1]], [[1, 0, 0, 0], [-1]]]), (3, {"x": 1}))},
+         2, bad + "each image must be a list of terms" + at),
+        # a duplicate of zero rows, then a row with three entries
+        ("2", {"a": 2, "b": 2, "images": _rows(
+            (0, [[[0, 0, 0, 0], [0]], [[0, 0, 0, 0], [0]]]), (2, [[[0, 0, 1, 0], [1], 3]]))},
+         2, bad + "bad term entry [[0, 0, 1, 0], [1], 3]" + at),
+        # a duplicate exponent and a wide vector in a later image
+        ("2", {"a": 2, "b": 2, "images": _rows(
+            (0, [[[1, 0, 0, 0], [1]], [[1, 0, 0, 0], [1]]]), (3, [[[0, 0, 0, 1], [0, 1]]]))},
+         2, bad + "duplicate exponent (1, 0, 0, 0)" + at),
+        # malformed maps for another pair than the command's
+        ("2", {"a": 3, "b": 2, "images": _rows(
+            (1, [[[0, 1, 0, 0], [1]], [[0, 1, 0, 0], [1]]]))},
+         2, bad + "duplicate exponent (0, 1, 0, 0)" + at),
+        ("2", {"a": 2, "b": 1, "images": _rows((1, [[[0, 1, -2, 0], [1]]]))},
+         2, bad + "negative exponent in term entry [[0, 1, -2, 0], [1]]" + at),
+        # a vector of the wrong length and a bad a
+        ("2", {"a": 0, "b": 2, "images": _rows((1, [[[0, 1, 0, 0], [1, 0, 0]]]))},
+         2, bad + "a and b must be positive integers" + at),
+        # well formed: a wide vector in the last image only, images out of
+        # normal form, and an image that breaks a relation
+        ("2", {"a": 2, "b": 2, "images": _rows((3, [[[0, 0, 0, 1], [0, 1]]]))},
+         1, no_word + "6\n"),
+        ("2", {"a": 2, "b": 2, "images": _rows(
+            (0, [[[1, 0, 0, 0], [1]], [[1, 0, 1, 0], [1]]]))},
+         1, no_word + "6\n"),
+        ("1", {"a": 2, "b": 1, "images": _rows((0, [[[9, 0, 0, 0], [1]]]))},
+         1, no_word + "15\n"),
+    ]
+    path = tmp_path / "map.json"
+    for b, obj, code, err in cases:
+        path.write_text(json.dumps(obj))
+        argv = ["aut-factor", "--a", "2", "--b", b, "--map-json", str(path)]
+        assert run_cli(capsys, *argv) == (code, "", err)
+
+
+def test_aut_compose_prints_the_same_verified(capsys):
+    """``verified`` as printed while every map was checked when built: word
+    maps are verified, and literal words are not once they use s3, even at
+    a = b (y: yes, n: no, -: h at a != b is refused)."""
+    words = ["s2", "s3", "s2 s3", "m(1,0) s2", "h s2", "r^2", "r^-1", "sp(3)", "m(1,1)",
+             "s2 s2"]
+    want = {
+        ("1", "1"): ("yyyyyyyyyy", "ynnyynnnyy"),
+        ("2", "1"): ("yyyy-yyyyy", "ynny-nnnyy"),
+        ("2", "2"): ("yyyyyyyyyy", "ynnyynnnyy"),
+        ("3", "2"): ("yyyy-yyyyy", "ynny-nnnyy"),
+    }
+    for (a, b), rows in want.items():
+        for literal, row in zip(([], ["--paper-literal"]), rows):
+            got = ""
+            for word in words:
+                argv = ["aut-compose", "--a", a, "--b", b, *word.split(), *literal]
+                code, out, _ = run_cli(capsys, *argv)
+                got += "-" if code else "yn"[out.endswith("verified: no\n")]
+            assert got == row, (a, b, literal)
+
+
 def test_group_commands(capsys):
     code, payload, _ = run_json(capsys, "group-mul", "--a", "2", "--b", "2", "s2", "s3")
     assert code == 0 and payload["product"] == "r"
@@ -448,16 +560,10 @@ def test_word_fold_output_bytes_are_pinned(capsys):
     ) == (0, "5\n", "")
 
 
-def test_budget_refusals_do_not_depend_on_history(capsys):
-    """The group structure and the generators are kept per term budget, so
-    a request refused in a fresh process is refused after a default-budget
-    run of the same pair too."""
+def clear_caches():
+    """Empty the generator, group and walk caches, as in a fresh process."""
     from clusteraut import autgroup, surface
 
-    refused = [
-        ["group-structure", "--a", "2", "--b", "2"],
-        ["group-mul", "--a", "3", "--b", "2", "s2", "s3"],
-    ]
     caches = (
         surface.identity, surface.sigma2, surface.sigma3, surface.scaling, surface.swap,
         autgroup.structure_of, autgroup._reading, autgroup._residue_words,
@@ -465,6 +571,17 @@ def test_budget_refusals_do_not_depend_on_history(capsys):
     for fn in caches:
         fn.cache_clear()
     clear_walk_cache()
+
+
+def test_budget_refusals_do_not_depend_on_history(capsys):
+    """The group structure and the generators are kept per term budget, so
+    a request refused in a fresh process is refused after a default-budget
+    run of the same pair too."""
+    refused = [
+        ["group-structure", "--a", "2", "--b", "2"],
+        ["group-mul", "--a", "3", "--b", "2", "s2", "s3"],
+    ]
+    clear_caches()
     err = "budget exceeded: normal form budget exhausted\n"
     for argv in refused:
         assert run_cli(capsys, *argv, "--max-terms", "3") == (3, "", err)
@@ -504,6 +621,23 @@ def test_map_json_with_spread_coefficients_keeps_budget_refusals(capsys, tmp_pat
         argv = ["aut-factor", "--a", a, "--b", b, "--max-terms", cap]
         argv += ["--map-json", str(tmp_path / f"{name}.json")]
         assert run_cli(capsys, *argv) == (code, "", err)
+
+
+def test_map_json_relation_check_no_longer_refuses(capsys, tmp_path):
+    """Reading a map with --map-json checks no relations, so a budget that
+    only the check ran past now reaches the factorization.  This request
+    exited 3 ("normal form budget exhausted") while the relations were
+    checked on every map read; budgets of 102 and more answered then too."""
+    code, out, _ = run_cli(capsys, "aut-compose", "--a", "2", "--b", "3",
+                           "s3", "s2", "s3", "m(1,0)", "--format", "json")
+    assert code == 0
+    path = tmp_path / "map.json"
+    path.write_text(out)
+    for cap, err in (("65", "budget exceeded: normal form budget exhausted\n"), ("66", "")):
+        clear_caches()
+        argv = ["aut-factor", "--a", "2", "--b", "3", "--max-terms", cap, "--map-json", str(path)]
+        want = (3, "", err) if err else (0, "word: s3 s2 s3 m(1,0)\nrecomposes: yes\n", "")
+        assert run_cli(capsys, *argv) == want
 
 
 def test_console_script_subprocess():

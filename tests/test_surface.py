@@ -460,6 +460,50 @@ def test_serialization_verify_flag():
     assert endo_from_obj(endo_to_obj(sigma2(params))).verified
 
 
+@pytest.fixture
+def relation_checks(monkeypatch):
+    """The maps whose relations ``is_endomorphism`` checks, in call order."""
+    checked = []
+    real = surface.is_endomorphism
+
+    def counting(f):
+        checked.append(f)
+        return real(f)
+
+    monkeypatch.setattr(surface, "is_endomorphism", counting)
+    return checked
+
+
+def test_verified_is_checked_once_on_first_read(relation_checks):
+    params = Params(2, 2)
+    good = endo_from_obj(endo_to_obj(compose_word(params, [("s2",), ("s3",)])))
+    obj = endo_to_obj(sigma2(params))
+    obj["images"][0] = [[[9, 0, 0, 0], [1]]]  # y1 -> y1^9 breaks y1*y3 = y2^2 + 1
+    bad = endo_from_obj(obj)
+    assert relation_checks == []
+    assert good.verified and good.verified
+    assert relation_checks == [good]
+    assert not bad.verified and not bad.verified
+    assert relation_checks == [good, bad]
+
+
+def test_compose_combines_known_flags_without_checking(relation_checks):
+    params = Params(2, 1)
+    word = compose_word(params, [("s2",), ("m", 1, 0)])
+    literal = sigma3(params, paper_literal=True)
+    f = endo_from_obj(endo_to_obj(word))
+    g = endo_from_obj(endo_to_obj(sigma2(params)))
+    assert compose(word, word)._verified is True
+    assert compose(word, literal)._verified is False
+    assert compose(f, literal)._verified is False
+    assert compose(f, word)._verified is None
+    unforced = compose(f, g)
+    assert unforced._verified is None
+    assert relation_checks == []
+    assert unforced.verified and relation_checks == [unforced]
+    assert f._verified is None and g._verified is None
+
+
 # -- the table of surface variables -----------------------------------------
 
 
