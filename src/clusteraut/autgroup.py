@@ -9,7 +9,6 @@ basis scalings symbolically and reading the results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import (
@@ -22,6 +21,7 @@ from .errors import (
 from .budget import cache_per_budget
 from .cluster import expected_period
 from .poly import Params
+from .record import Record
 from .surface import (
     EndoMap,
     compose,
@@ -106,18 +106,32 @@ def derive_action_tables(params: Params) -> dict:
     return tables
 
 
-@dataclass(frozen=True)
-class GroupStructure:
-    """Shape of the group for one parameter pair, with derived tables."""
+class GroupStructure(Record):
+    """Shape of the group for one parameter pair, with derived tables.
+    A ``dihedral_order`` of None encodes the infinite dihedral group."""
 
-    params: Params
-    case: str
-    dihedral_order: int | None  # None encodes the infinite dihedral group
-    mu_order: int
-    has_swap: bool
-    s2_table: tuple
-    s3_table: tuple
-    h_table: tuple | None
+    __slots__ = (
+        "params", "case", "dihedral_order", "mu_order", "has_swap",
+        "s2_table", "s3_table", "h_table",
+    )
+
+    def __init__(
+        self,
+        params: Params,
+        case: str,
+        dihedral_order: int | None,
+        mu_order: int,
+        has_swap: bool,
+        s2_table: tuple,
+        s3_table: tuple,
+        h_table: tuple | None,
+    ):
+        values = (
+            params, case, dihedral_order, mu_order, has_swap,
+            s2_table, s3_table, h_table,
+        )
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     @property
     def is_finite(self) -> bool:
@@ -169,31 +183,34 @@ def _apply_table(table, mu, params: Params):
     return ((m00 * i + m01 * j) % params.a, (m10 * i + m11 * j) % params.b)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     """Normal form r^r_exp * s2^s * scaling(mu) * h^h."""
 
-    structure: GroupStructure
-    r_exp: int = 0
-    s: int = 0
-    mu: tuple = (0, 0)
-    h: int = 0
+    __slots__ = ("structure", "r_exp", "s", "mu", "h")
 
-    def __post_init__(self):
-        st = self.structure
-        p = st.params
-        k = self.r_exp
-        if st.r_order is not None:
-            k %= st.r_order
-        object.__setattr__(self, "r_exp", k)
-        object.__setattr__(self, "s", self.s & 1)
-        object.__setattr__(self, "mu", (self.mu[0] % p.a, self.mu[1] % p.b))
-        hflag = self.h & 1
-        if hflag and not st.has_swap:
+    def __init__(
+        self,
+        structure: GroupStructure,
+        r_exp: int = 0,
+        s: int = 0,
+        mu: tuple = (0, 0),
+        h: int = 0,
+    ):
+        p = structure.params
+        if structure.r_order is not None:
+            r_exp %= structure.r_order
+        s &= 1
+        mu = (mu[0] % p.a, mu[1] % p.b)
+        h &= 1
+        if h and not structure.has_swap:
             raise SwapRequiresEqualParams(
                 f"no reversal factor in the group for {p}"
             )
-        object.__setattr__(self, "h", hflag)
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "r_exp", r_exp)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "h", h)
 
     def __str__(self) -> str:
         parts = []

@@ -8,6 +8,9 @@ and the self-verification suites.
 Exit codes: 0 the command ran (mathematical verdicts, true or false, live in
 the payload); 1 run-time errors and failed verification suites; 2 malformed
 input or configuration; 3 exhausted term budget.
+
+Only the geometry commands and suites import ``clusteraut.geom``, so a
+process that answers other commands never loads it.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import argparse
 import json
 import sys
 
-from . import autgroup, cluster, geom
+from . import autgroup, cluster
 from . import surface as surf
 from .budget import DEFAULT_MAX_TERMS, limit
 from .errors import BudgetExceeded, EngineError, ParseError
@@ -101,6 +104,8 @@ def cmd_aut_compose(args):
     payload = surf.endo_to_obj(f)
     payload["word"] = print_word(atoms)
     payload["verified"] = f.verified
+    if args.format == "json":
+        return 0, payload, None  # the text form would not be printed
     lines = [
         f"y{i + 1} -> {print_poly(e, params)}"
         for i, e in enumerate(f.images)
@@ -235,6 +240,8 @@ def cmd_group_enumerate(args):
 
 
 def cmd_geom_boundary(args):
+    from . import geom
+
     params = _params(args)
     model = _MODELS[args.model]
     _, cycle = geom.build_compactification(params, model, args.origin)
@@ -253,6 +260,8 @@ def cmd_geom_boundary(args):
 
 
 def cmd_classify(args):
+    from . import geom
+
     try:
         p1 = Params(args.a, args.b)
         p2 = Params(args.c, args.d)
@@ -366,6 +375,8 @@ def _type_str(seq) -> str:
 
 
 def _suite_geometry():
+    from . import geom
+
     entries = []
     for a in range(1, 6):
         for b in range(1, 6):
@@ -439,6 +450,8 @@ def _suite_errata():
     """Three discrepancies between the source text and the derived facts.
     The identity checks and compactifications behind them are derived once
     per process (and term budget), so a repeated run reads them back."""
+    from . import geom
+
     entries = []
 
     corrected = all(
@@ -629,8 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--origin",
         type=str.lower,
-        choices=(geom.PLANE, geom.QUADRIC),
-        default=geom.PLANE,
+        choices=("plane", "quadric"),  # geom.PLANE, geom.QUADRIC; geom loads lazily
+        default="plane",
         help="root of the blow-up script",
     )
     _add_common(p)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from itertools import count
 from typing import Iterator
 
@@ -35,17 +34,20 @@ from .poly import (
     parity_exponent,
     substitute,
 )
+from .record import Record
 from .rings import ZZ
 from .surface import normal_form, y0_expression, y5_expression
 
 
-@dataclass(frozen=True)
-class ClusterVar:
+class ClusterVar(Record):
     """The n-th cluster variable as a Laurent polynomial in y1, y2."""
 
-    params: Params
-    n: int
-    value: LaurentPoly
+    __slots__ = ("params", "n", "value")
+
+    def __init__(self, params: Params, n: int, value: LaurentPoly):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "value", value)
 
     @property
     def positive(self) -> bool:

@@ -10,7 +10,6 @@ plain integer cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (
@@ -24,13 +23,13 @@ from .errors import (
     StructureMismatch,
 )
 from .poly import Params
+from .record import Record
 
 PLANE = "plane"
 QUADRIC = "quadric"
 
 
-@dataclass(frozen=True)
-class PicardLattice:
+class PicardLattice(Record):
     """Divisor class lattice of a rational surface model.
 
     origin "plane": basis (L, e1, ..., er) with L^2 = 1, ei^2 = -1.
@@ -42,15 +41,28 @@ class PicardLattice:
     of contracted models embed in the ambient one.
     """
 
-    origin: str
-    rank: int
-    k: tuple
+    __slots__ = ("origin", "rank", "k")
 
-    def __post_init__(self):
-        if self.origin not in (PLANE, QUADRIC):
-            raise ValueError(f"unknown origin {self.origin!r}")
-        if len(self.k) != self.rank:
+    def __init__(self, origin: str, rank: int, k: tuple):
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "k", k)
+        if origin not in (PLANE, QUADRIC):
+            raise ValueError(f"unknown origin {origin!r}")
+        if len(k) != rank:
             raise ValueError("canonical class length does not match rank")
+
+    # compared by every DivisorClass.dot
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.rank == other.rank
+            and self.origin == other.origin
+            and self.k == other.k
+        )
+
+    __hash__ = Record.__hash__  # defining __eq__ would unset it
 
     @property
     def gram(self) -> tuple:
@@ -96,13 +108,13 @@ def quadric_lattice() -> PicardLattice:
     return PicardLattice(QUADRIC, 2, (-2, -2))
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    lattice: PicardLattice
-    coeffs: tuple
+class DivisorClass(Record):
+    __slots__ = ("lattice", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.lattice.rank:
+    def __init__(self, lattice: PicardLattice, coeffs: tuple):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "coeffs", coeffs)
+        if len(coeffs) != lattice.rank:
             raise ValueError("coefficient length does not match lattice rank")
 
     def dot(self, other: "DivisorClass") -> int:
@@ -134,16 +146,13 @@ class DivisorClass:
         return DivisorClass(self.lattice, tuple(n * x for x in self.coeffs))
 
 
-class NgonType:
+class NgonType(Record):
     """Cyclic sequence of self-intersections, equal up to rotation/reversal."""
 
     __slots__ = ("ints",)
 
     def __init__(self, ints):
         object.__setattr__(self, "ints", tuple(int(x) for x in ints))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NgonType is immutable")
 
     def __repr__(self) -> str:
         return f"NgonType({self.ints!r})"
@@ -180,13 +189,15 @@ class NgonType:
         return "(" + ",".join(str(x) for x in self.ints) + ")"
 
 
-@dataclass(frozen=True)
-class BoundaryCycle:
+class BoundaryCycle(Record):
     """Ordered cycle of boundary curve classes, plus off-cycle exceptionals."""
 
-    lattice: PicardLattice
-    curves: tuple
-    extras: tuple = field(default_factory=tuple)
+    __slots__ = ("lattice", "curves", "extras")
+
+    def __init__(self, lattice: PicardLattice, curves: tuple, extras: tuple = ()):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "extras", extras)
 
     @property
     def n(self) -> int:

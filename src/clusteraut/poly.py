@@ -12,7 +12,6 @@ by the lower power of t.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Iterator
 
@@ -26,6 +25,7 @@ from .errors import (
     RingMismatch,
     ZeroPolynomial,
 )
+from .record import Record
 from .rings import ZZ, CoeffRing, join
 
 Exponents = tuple[int, int, int, int]
@@ -33,16 +33,25 @@ Exponents = tuple[int, int, int, int]
 Key = tuple[int, int, int, int, int]
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(Record):
     """The pair (a, b) of positive exchange exponents."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if a < 1 or b < 1:
             raise ValueError("a and b must be positive")
+
+    # every cache key holds a Params: compare the two fields directly
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash((self.a, self.b))
 
     @property
     def m(self) -> int:
@@ -61,7 +70,7 @@ class Params:
         return f"({self.a},{self.b})"
 
 
-class LaurentPoly:
+class LaurentPoly(Record):
     """Immutable sparse Laurent polynomial over an exact coefficient ring."""
 
     __slots__ = ("ring", "_terms")
@@ -71,9 +80,6 @@ class LaurentPoly:
         of t in 0 .. m - 1 (use from_terms for unvalidated input)."""
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors ------------------------------------------------------
 

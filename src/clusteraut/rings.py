@@ -16,9 +16,8 @@ raises RingMismatch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import RingMismatch
+from .record import Record
 
 
 class RSOps:
@@ -58,15 +57,23 @@ class RSOps:
         return not any(x)
 
 
-@dataclass(frozen=True)
-class CoeffRing:
+class CoeffRing(Record):
     """Coefficient ring tag.  m == 0 means the integers, m >= 1 the surrogate ring."""
 
-    m: int = 0
+    __slots__ = ("m",)
 
-    def __post_init__(self):
-        if self.m < 0:
+    def __init__(self, m: int = 0):
+        object.__setattr__(self, "m", m)
+        if m < 0:
             raise ValueError("m must be nonnegative")
+
+    # joined and compared by every polynomial operation
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m
+
+    __hash__ = Record.__hash__  # defining __eq__ would unset it
 
     @property
     def is_integers(self) -> bool:

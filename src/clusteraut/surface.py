@@ -20,7 +20,6 @@ for y3, y4, y5, y6 (an index shift by 2).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import gcd
 
 from . import _kernel as K
@@ -33,6 +32,7 @@ from .errors import (
     SwapRequiresEqualParams,
 )
 from .poly import LaurentPoly, Params, descending_keys, embed, weighted_degree
+from .record import Record
 from .rings import ZZ, CoeffRing, join, root_surrogate
 
 
@@ -46,8 +46,7 @@ def normal_form(params: Params, p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(p.ring, terms)
 
 
-@dataclass(frozen=True)
-class EndoMap:
+class EndoMap(Record):
     """An algebra endomorphism given by generator images in normal form,
     all four over one coefficient ring.
 
@@ -56,9 +55,17 @@ class EndoMap:
     None and ``is_endomorphism`` computes it on first read.
     """
 
-    params: Params
-    images: tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]
-    _verified: bool | None = None
+    __slots__ = ("params", "images", "_verified")
+
+    def __init__(
+        self,
+        params: Params,
+        images: tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly],
+        _verified: bool | None = None,
+    ):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_verified", _verified)
 
     @classmethod
     def make(
@@ -177,14 +184,15 @@ def sigma3(params: Params, paper_literal: bool = False) -> EndoMap:
 
     Images: (y5, y4, y3, y2), with y5 from ``y5_expression``.  The
     ``paper_literal`` variant violates the relations whenever a != b and is
-    kept only so verification reports can exhibit the discrepancy; it is
-    marked unverified at every pair.
+    kept only so verification reports can exhibit the discrepancy, so it
+    is marked unverified there.  At a = b its y5 is the corrected one, and
+    ``verified`` is left to the relation check on first read, as for the
+    corrected variant.
     """
     y2, y3, y4 = (LaurentPoly.variable(i) for i in (2, 3, 4))
     y5 = y5_expression(params, paper_literal)
-    return EndoMap.make(
-        params, [y5, y4, y3, y2], verified=False if paper_literal else None
-    )
+    known_bad = paper_literal and params.a != params.b
+    return EndoMap.make(params, [y5, y4, y3, y2], verified=False if known_bad else None)
 
 
 @cache_per_budget(_SCALINGS)

@@ -5,11 +5,13 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clusteraut.cli import main
 from clusteraut.cluster import clear_walk_cache
+from clusteraut.textio import print_poly
 
 
 def run_cli(capsys, *argv):
@@ -229,14 +231,15 @@ def test_map_json_with_two_faults_output_bytes_are_pinned(capsys, tmp_path):
 
 def test_aut_compose_prints_the_same_verified(capsys):
     """``verified`` as printed while every map was checked when built: word
-    maps are verified, and literal words are not once they use s3, even at
-    a = b (y: yes, n: no, -: h at a != b is refused)."""
+    maps are verified, and literal words are not once they use s3 at a != b;
+    at a = b the literal s3 is the corrected one, so they are (y: yes, n: no,
+    -: h at a != b is refused)."""
     words = ["s2", "s3", "s2 s3", "m(1,0) s2", "h s2", "r^2", "r^-1", "sp(3)", "m(1,1)",
              "s2 s2"]
     want = {
-        ("1", "1"): ("yyyyyyyyyy", "ynnyynnnyy"),
+        ("1", "1"): ("yyyyyyyyyy", "yyyyyyyyyy"),
         ("2", "1"): ("yyyy-yyyyy", "ynny-nnnyy"),
-        ("2", "2"): ("yyyyyyyyyy", "ynnyynnnyy"),
+        ("2", "2"): ("yyyyyyyyyy", "yyyyyyyyyy"),
         ("3", "2"): ("yyyy-yyyyy", "ynny-nnnyy"),
     }
     for (a, b), rows in want.items():
@@ -299,8 +302,8 @@ def test_verify_all(capsys):
 def test_paper_literal_flag(capsys):
     code, payload, _ = run_json(capsys, "aut-compose", "--a", "2", "--b", "3", "s3")
     assert code == 0 and payload["verified"] is True
-    # literal-formula maps skip the endomorphism check (the literal images
-    # need not satisfy the defining relations), so verified is always False
+    # the literal images need not satisfy the defining relations: they fail
+    # them at a != b, and at a = b the literal formula is the corrected one
     code, payload, _ = run_json(
         capsys, "aut-compose", "--a", "2", "--b", "3", "--paper-literal", "s3"
     )
@@ -308,7 +311,43 @@ def test_paper_literal_flag(capsys):
     code, payload, _ = run_json(
         capsys, "aut-compose", "--a", "2", "--b", "2", "--paper-literal", "s3"
     )
-    assert code == 0 and payload["verified"] is False
+    assert code == 0 and payload["verified"] is True
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (2, 2), (3, 3), (2, 1), (1, 2), (3, 2)])
+def test_paper_literal_verified_is_the_relation_check(capsys, a, b):
+    """The printed flag of a literal word is ``is_endomorphism`` of the
+    printed map, read back from the JSON output."""
+    from clusteraut import surface
+
+    for word in ("s3", "s2 s3", "s3 s3", "r^2", "r^-1", "sp(3)", "m(1,0) s3"):
+        code, payload, _ = run_json(
+            capsys, "aut-compose", "--a", str(a), "--b", str(b), *word.split(),
+            "--paper-literal",
+        )
+        assert code == 0
+        f = surface.endo_from_obj(payload)
+        assert payload["verified"] is surface.is_endomorphism(f), (a, b, word)
+        if a == b or word == "s3":
+            assert payload["verified"] is (a == b), (a, b, word)
+
+
+def test_aut_compose_json_prints_no_text(capsys, monkeypatch):
+    from clusteraut import cli
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return print_poly(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "print_poly", counting)
+    argv = ["aut-compose", "--a", "2", "--b", "2", "s2", "s3", "m(1,0)"]
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0 and payload["verified"] is True and calls == []
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and len(calls) == 4
+    assert out.splitlines()[-1] == "verified: yes"
 
 
 def test_paper_literal_only_on_aut_commands(capsys):
@@ -524,7 +563,8 @@ def test_surrogate_output_bytes_are_pinned(capsys):
 def test_word_fold_output_bytes_are_pinned(capsys):
     """Bytes recorded while words were still composed one letter at a time:
     h at a != b on every word command, the ring that an m(0,0) atom selects,
-    and literal words, whose huge r^k at (1,1) is read modulo the order 5."""
+    and literal words, whose huge r^k at (1,1) is read modulo the order 5.
+    At a = b the literal s3 is the corrected one, so such a word is verified."""
     for a, b in (("2", "1"), ("3", "2")):
         err = f"error: SwapRequiresEqualParams: swap undefined for ({a},{b})\n"
         for command in ("aut-compose", "aut-order", "aut-factor"):
@@ -549,7 +589,7 @@ def test_word_fold_output_bytes_are_pinned(capsys):
          '[[0, 1, 0, 0], [-1]]], [[[1, 0, 0, 0], [1]]], [[[0, 1, 0, 0], [1]]]], '
          '"verified": false, "word": "s2 s3"}\n'),
         (["--a", "1", "--b", "1", "--paper-literal", "r^99999999999999999999"],
-         "y1 -> y3\ny2 -> y4\ny3 -> y1*y4 - 1\ny4 -> y1\nverified: no\n"),
+         "y1 -> y3\ny2 -> y4\ny3 -> y1*y4 - 1\ny4 -> y1\nverified: yes\n"),
         (["--a", "1", "--b", "1", "--paper-literal", "r^-99999999999999999995"],
          "y1 -> y1\ny2 -> y2\ny3 -> y3\ny4 -> y4\nverified: yes\n"),
     ]

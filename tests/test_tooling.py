@@ -8,9 +8,15 @@ and a passing oracle self-test.
 
 Every memoizing cache in ``src/clusteraut`` names its bound, so that a
 long-lived process cannot grow without limit.
+
+Every request is answered by a fresh process that first imports
+``clusteraut.cli``, so that import loads neither ``dataclasses`` (which
+pulls in ``inspect``, ``ast`` and ``dis``) nor ``clusteraut.geom``, which
+only the geometry commands load.
 """
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -99,3 +105,53 @@ def test_every_cache_is_bounded():
         (9, "functools.cache"),
         (11, "lru_cache without maxsize"),
     ]
+
+
+_LOADED = """
+import contextlib, io, sys
+from clusteraut import cli
+
+def loaded():
+    return [m for m in ("dataclasses", "inspect", "clusteraut.geom") if m in sys.modules]
+
+print(loaded())
+for argv in (["cluster", "--a", "2", "--b", "2", "--n", "5"],
+             ["geom-boundary", "--a", "2", "--b", "3", "--model", "pentagon"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    print(loaded())
+"""
+
+
+def test_cli_import_loads_only_what_a_command_uses():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED],
+        capture_output=True, text=True, timeout=120, cwd=ROOT, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]", "['clusteraut.geom']"]
+
+
+def _dataclass_imports(tree):
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [node.lineno for a in node.names if a.name == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found.append(node.lineno)
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    sources = sorted((ROOT / "src" / "clusteraut").glob("*.py"))
+    assert sources
+    found = {
+        path.name: _dataclass_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sources
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    bad = ast.parse(
+        "import dataclasses\nfrom dataclasses import dataclass\nimport os, dataclasses as d\n"
+    )
+    assert sorted(_dataclass_imports(bad)) == [1, 2, 3]
