@@ -3,8 +3,9 @@
 Elements are written d * m * h with d = r^k * s2^s in the dihedral part
 (r = s2 s3), m a diagonal scaling and h the coordinate reversal (only
 when a = b >= 2).  The action of the dihedral part on the scaling lattice
-is not assumed: it is derived once per parameter pair by conjugating the
-basis scalings symbolically and reading the results.
+is not assumed: it is derived once per parameter pair by reading each
+conjugate of a basis scaling from the index fold of its word
+(``surface.fold_word``) and checking it on the generator's own images.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .surface import (
     compose,
     compose_word,
     equal,
+    fold_word,
     identity,
     order_of,
-    scaling,
     sigma2,
     sigma3,
     swap,
@@ -47,40 +48,45 @@ def _case_name(a: int, b: int) -> str:
     return "GenericInfinite"
 
 
-def _read_scaling(params: Params, f: EndoMap):
-    """(i, j) with f == scaling(i, j), or None: a scaling sends y2 to
-    t^((m/a) i) y2 and y3 to t^((m/b) j) y3, so (i, j) is read from those two
-    images and confirmed with one exact equality."""
-    if any(e.num_terms != 1 for e in f.images[1:3]):
-        return None
-    (k2,), (k3,) = (e.term_map() for e in f.images[1:3])
-    ij = (k2[4] // (params.m // params.a), k3[4] // (params.m // params.b))
-    return ij if equal(f, scaling(params, *ij)) else None
-
-
 def _conjugation_table(params: Params, g: EndoMap, label: str):
     """2x2 matrix of the action m -> g o m o g on scaling indices.
 
     Columns are the images of the basis scalings (1,0) and (0,1); entry
-    rows live in Z/a and Z/b respectively.
+    rows live in Z/a and Z/b respectively.  Each column m' is read from the
+    fold of the word ``label`` m ``label`` and checked on g's own images:
+    g o m = m' o g holds when every term y^e of the image of y_k has
+    e . c' = c_k modulo m, where c and c' are the t-exponents of m and m'.
+    As g is an involution, that is g o m o g = m'.
     """
+    m = params.m
     cols = []
     for basis in ((1, 0), (0, 1)):
-        conj = compose(compose(g, scaling(params, *basis)), g)
-        hit = _read_scaling(params, conj)
-        if hit is None:
+        exps, ns, _ = fold_word(params, [(label,), ("m", *basis), (label,)])
+        ij = (exps[1] // (m // params.a), exps[2] // (m // params.b))
+        c = _scaling_exponents(params, basis, 0)
+        if (
+            ns != [1, 2, 3, 4]
+            or exps != _scaling_exponents(params, ij, 0)
+            or any(
+                sum(x * y for x, y in zip(key, exps)) % m != ck
+                for image, ck in zip(g.images, c)
+                for key in image.term_map()
+            )
+        ):
             raise ConjugationNotScaling(
                 f"conjugate of scaling{basis} by {label} is not a scaling"
             )
-        cols.append(hit)
+        cols.append(ij)
     return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
 
 
 def derive_action_tables(params: Params) -> dict:
     """Conjugation action of s2, s3 (and h when a = b) on the scalings.
 
-    Everything is computed by symbolic conjugation and read off the
-    conjugates; nothing about the action is hard-coded.
+    Each table is read from the folds of the conjugation words and checked
+    exactly on the images of sigma2, sigma3 and swap
+    (``_conjugation_table``); nothing about the action is hard-coded.  At
+    a = b, h o s2 o h = s3 is checked by composing the maps.
     """
     tables = {
         "s2": _conjugation_table(params, sigma2(params), "s2"),
@@ -639,9 +645,10 @@ def factor_word(x: GroupElement, steps: int) -> list | None:
 def enumerate_finite(structure: GroupStructure):
     """All group elements for a finite case, as a new list.
 
-    Every pair is also compared as surface maps through to_endo to confirm
-    the enumeration has no collisions.  That check runs once per structure
-    and term budget.
+    The surface maps of the elements (``to_endo``) are also compared to
+    confirm the enumeration has no collisions: maps are grouped by hash, and
+    only maps within one group are compared.  That check runs once per
+    structure and term budget.
     """
     if structure.r_order is None:
         raise NotFiniteType(f"group for {structure.params} is infinite")
@@ -658,9 +665,11 @@ def _finite_elements(structure: GroupStructure) -> tuple:
         for i in range(p.a)
         for j in range(p.b)
     )
-    maps = [to_endo(e) for e in elements]
-    for n, f in enumerate(maps):
-        for g in maps[n + 1 :]:
-            if equal(f, g):
-                raise EngineError("distinct normal forms evaluate to the same map")
+    # equal maps hash alike, also over different rings
+    buckets: dict = {}
+    for f in map(to_endo, elements):
+        bucket = buckets.setdefault(hash(f), [])
+        if any(equal(f, g) for g in bucket):
+            raise EngineError("distinct normal forms evaluate to the same map")
+        bucket.append(f)
     return elements

@@ -273,16 +273,42 @@ def compose(f: EndoMap, g: EndoMap, caches=None) -> EndoMap:
 _REFLECTIONS = {"s2": 4, "s3": 6, "h": 5}
 
 
+def fold_word(params: Params, word) -> tuple:
+    """(exps, ns, wide) for a word of atoms, leftmost acting last: the word
+    sends each y_i to t^exps[i] y_ns[i], and ``wide`` says whether it has an
+    m atom.
+
+    Each atom sends every y_n to t^e y_n': s2, s3, h and sp(p) to y_(c-n)
+    with c = 4, 6, 5 and 2p, r^k to y_(n-2k), and m(i, j) to t^e y_n with
+    e = (-u, -v, u, v)[n mod 4], u = (m/a) i, v = (m/b) j.  So the atoms
+    are folded right to left over the pairs (e, n) of y1..y4, and each e is
+    returned modulo m.
+    """
+    a, b, m = params.a, params.b, params.m
+    exps, ns, wide = [0, 0, 0, 0], [1, 2, 3, 4], False
+    for atom in reversed(word):
+        kind = atom[0]
+        if kind == "m":
+            u, v = (m // a) * (atom[1] % a), (m // b) * (atom[2] % b)
+            exps = [e + (-u, -v, u, v)[n % 4] for e, n in zip(exps, ns)]
+            wide = True
+        elif kind == "r":
+            ns = [n - 2 * atom[1] for n in ns]
+        else:
+            if kind == "h" and a != b:
+                raise SwapRequiresEqualParams(f"swap undefined for {params}")
+            c = 2 * atom[1] if kind == "sp" else _REFLECTIONS[kind]
+            ns = [c - n for n in ns]
+    return [e % m for e in exps], ns, wide
+
+
 def compose_word(
     params: Params, word, paper_literal: bool = False
 ) -> EndoMap:
     """The map of a word of atoms, leftmost acting last.
 
-    Each atom sends every y_n to t^e y_n': s2, s3, h and sp(p) to y_(c-n)
-    with c = 4, 6, 5 and 2p, r^k to y_(n-2k), and m(i, j) to t^e y_n with
-    e = (-u, -v, u, v)[n mod 4], u = (m/a) i, v = (m/b) j.  So the atoms
-    are folded right to left over the pairs (e, n) of y1..y4, and each image
-    is t^e times the table entry ``cluster.surface_var(n)``, over
+    The word is folded (``fold_word``) to the pairs (e, n) of y1..y4, and
+    each image is t^e times the table entry ``cluster.surface_var(n)``, over
     Z[t]/(t^m - 1) when the word has an m atom.  ``paper_literal`` words,
     whose sigma3 is no automorphism when a != b, go through
     ``compose_letters``.
@@ -291,24 +317,11 @@ def compose_word(
         return compose_letters(params, word, True)
     from .cluster import surface_var  # cluster imports this module
 
-    a, b, m = params.a, params.b, params.m
-    exps, ns, ring = [0, 0, 0, 0], [1, 2, 3, 4], ZZ
-    for atom in reversed(word):
-        kind = atom[0]
-        if kind == "m":
-            u, v = (m // a) * (atom[1] % a), (m // b) * (atom[2] % b)
-            exps = [e + (-u, -v, u, v)[n % 4] for e, n in zip(exps, ns)]
-            ring = root_surrogate(m)
-        elif kind == "r":
-            ns = [n - 2 * atom[1] for n in ns]
-        else:
-            if kind == "h" and a != b:
-                raise SwapRequiresEqualParams(f"swap undefined for {params}")
-            c = 2 * atom[1] if kind == "sp" else _REFLECTIONS[kind]
-            ns = [c - n for n in ns]
+    exps, ns, wide = fold_word(params, word)
+    ring = root_surrogate(params.m) if wide else ZZ
     ys = [embed(surface_var(params, n), ring) for n in ns]
     images = tuple(
-        LaurentPoly(ring, K.scale_terms(y.term_map(), (0, 0, 0, 0, e % m), 1)) if e % m else y
+        LaurentPoly(ring, K.scale_terms(y.term_map(), (0, 0, 0, 0, e), 1)) if e else y
         for y, e in zip(ys, exps)
     )
     return EndoMap(params, images, True)

@@ -616,11 +616,17 @@ def clear_caches():
 def test_budget_refusals_do_not_depend_on_history(capsys):
     """The group structure and the generators are kept per term budget, so
     a request refused in a fresh process is refused after a default-budget
-    run of the same pair too."""
+    run of the same pair too.  group-structure at (2,2) was refused under
+    --max-terms 3 while its tables came from composed maps; they now come
+    from the generators alone, and it answers as at the default budget."""
     refused = [
-        ["group-structure", "--a", "2", "--b", "2"],
+        ["group-structure", "--a", "3", "--b", "3"],
         ["group-mul", "--a", "3", "--b", "2", "s2", "s3"],
     ]
+    clear_caches()
+    answered = ["group-structure", "--a", "2", "--b", "2"]
+    small = run_cli(capsys, *answered, "--max-terms", "3")
+    assert small[0] == 0 and small == run_cli(capsys, *answered)
     clear_caches()
     err = "budget exceeded: normal form budget exhausted\n"
     for argv in refused:
@@ -629,6 +635,22 @@ def test_budget_refusals_do_not_depend_on_history(capsys):
         assert run_cli(capsys, *argv)[0] == 0
         for _ in range(2):
             assert run_cli(capsys, *argv, "--max-terms", "3") == (3, "", err)
+
+
+def test_small_budget_answers_equal_the_default_ones(capsys):
+    """Under every --max-terms from 1 to 40, a group command at a, b <= 4
+    is either refused (exit 3) or gives its default-budget answer, error
+    text and exit code included."""
+    commands = (["group-structure"], ["group-mul", "s2", "s3"], ["group-enumerate"])
+    for a in range(1, 5):
+        for b in range(1, 5):
+            for command in commands:
+                argv = [command[0], "--a", str(a), "--b", str(b), *command[1:]]
+                want = run_cli(capsys, *argv)
+                assert want[0] in (0, 1)
+                for cap in range(1, 41):
+                    got = run_cli(capsys, *argv, "--max-terms", str(cap))
+                    assert got[0] == 3 or got == want, (argv, cap)
 
 
 def test_map_json_with_spread_coefficients_keeps_budget_refusals(capsys, tmp_path):

@@ -19,6 +19,7 @@ from clusteraut.budget import limit
 from clusteraut.errors import (
     BudgetExceeded,
     ConjugationNotScaling,
+    EngineError,
     NotFiniteType,
     StructureMismatch,
     SwapRequiresEqualParams,
@@ -27,6 +28,7 @@ from clusteraut.poly import Params
 from clusteraut.surface import (
     compose,
     compose_letters,
+    compose_word,
     equal,
     identity,
     scaling,
@@ -315,41 +317,78 @@ def test_r_atom_folds_as_one_power():
     assert from_word(st, parse_word(f"r^-{huge} h")) == GroupElement(st, -huge, h=1)
 
 
+def reference_conjugate(params, g, basis):
+    """(i, j) with g o scaling(basis) o g == scaling(i, j), found by composing
+    the maps and matching the conjugate against every scaling in turn, or
+    None when the conjugate is no scaling."""
+    conj = compose(compose(g, scaling(params, *basis)), g)
+    hits = [
+        (i, j) for i in range(params.a) for j in range(params.b)
+        if equal(conj, scaling(params, i, j))
+    ]
+    return hits[0] if hits else None
+
+
 def reference_action_tables(params):
-    """The tables as they were first derived: each conjugate of a basis
-    scaling matched against every scaling in turn."""
-    a, b = params.a, params.b
+    """The tables as they were first derived, by composing maps."""
 
     def table(g):
-        cols = []
-        for basis in ((1, 0), (0, 1)):
-            conj = compose(compose(g, scaling(params, *basis)), g)
-            hits = [(i, j) for i in range(a) for j in range(b) if equal(conj, scaling(params, i, j))]
-            cols.append(hits[0])
+        cols = [reference_conjugate(params, g, basis) for basis in ((1, 0), (0, 1))]
         return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
 
     return {
         "s2": table(sigma2(params)),
         "s3": table(sigma3(params)),
-        "h": table(swap(params)) if a == b else None,
+        "h": table(swap(params)) if params.a == params.b else None,
     }
 
 
 def test_action_tables_match_the_scaling_search():
-    """The tables read off the powers of t equal those the search over
-    every scaling finds, at every pair with a, b <= 6."""
-    for a in range(1, 7):
-        for b in range(1, 7):
-            params = Params(a, b)
-            assert autgroup.derive_action_tables(params) == reference_action_tables(params)
+    """The tables read from the word folds and checked on the generators'
+    images equal those the search over every scaling finds, at every pair
+    with a, b <= 6 and at a few larger ones."""
+    pairs = [(a, b) for a in range(1, 7) for b in range(1, 7)]
+    for a, b in pairs + [(7, 3), (3, 7), (5, 8), (10, 10), (12, 5)]:
+        params = Params(a, b)
+        assert autgroup.derive_action_tables(params) == reference_action_tables(params)
 
 
 def test_a_conjugate_that_is_no_scaling_is_refused():
     # the literal s3 at (2,1) does not normalize the scalings
     params = Params(2, 1)
-    g = sigma3(params, True)
-    assert autgroup._read_scaling(params, compose(compose(g, scaling(params, 1, 0)), g)) is None
-    assert autgroup._read_scaling(params, sigma2(params)) is None
+    assert reference_conjugate(params, sigma3(params, True), (1, 0)) is None
+    assert reference_conjugate(params, sigma3(params), (1, 0)) == (1, 0)
+    # the fold of s3 m(1,0) s3 at (3,2) is m(2,0), which sigma2's images refute
+    params = Params(3, 2)
+    assert autgroup._conjugation_table(params, sigma3(params), "s3") == ((2, 0), (0, 1))
     with pytest.raises(ConjugationNotScaling) as exc:
-        autgroup._conjugation_table(params, g, "s3")
+        autgroup._conjugation_table(params, sigma2(params), "s3")
     assert str(exc.value) == "conjugate of scaling(1, 0) by s3 is not a scaling"
+
+
+def test_a_collision_in_the_enumeration_is_refused(monkeypatch):
+    """The collision check groups the maps by hash; two elements that share
+    a map still meet in one group."""
+    st = structure_of(Params(2, 1))
+    clash = GroupElement(st, 1, 1, (1, 0))
+    real = autgroup.to_endo
+    monkeypatch.setattr(
+        autgroup, "to_endo", lambda x: real(identity_element(st) if x == clash else x)
+    )
+    autgroup._finite_elements.cache_clear()
+    with pytest.raises(EngineError) as exc:
+        enumerate_finite(st)
+    assert str(exc.value) == "distinct normal forms evaluate to the same map"
+    monkeypatch.undo()
+    autgroup._finite_elements.cache_clear()
+    assert len(enumerate_finite(st)) == 12
+
+
+def test_equal_maps_over_two_rings_hash_alike():
+    for a, b in ((1, 1), (2, 1), (3, 2), (2, 2)):
+        params = Params(a, b)
+        for word in ([("s2",)], [("s3",), ("s2",)], [("r", 1)]):
+            over_z = compose_word(params, word)
+            wide = compose_word(params, word + [("m", 0, 0)])
+            assert over_z.ring != wide.ring and over_z == wide
+            assert hash(over_z) == hash(wide)

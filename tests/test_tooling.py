@@ -13,6 +13,10 @@ Every request is answered by a fresh process that first imports
 ``clusteraut.cli``, so that import loads neither ``dataclasses`` (which
 pulls in ``inspect``, ``ast`` and ``dis``) nor ``clusteraut.geom``, which
 only the geometry commands load.
+
+The group's action tables are read from word folds and checked on the
+generators' images, so the group commands compose no surface map but the
+check h o s2 o h = s3 at a = b; a fresh interpreter counts the calls.
 """
 import ast
 import json
@@ -155,3 +159,42 @@ def test_no_module_imports_dataclasses():
         "import dataclasses\nfrom dataclasses import dataclass\nimport os, dataclasses as d\n"
     )
     assert sorted(_dataclass_imports(bad)) == [1, 2, 3]
+
+
+_COMPOSES = """
+import contextlib, io, sys
+from clusteraut import autgroup, cli, surface
+
+callers = []
+real = surface.compose
+
+def counted(*args, **kwargs):
+    callers.append(sys._getframe(1).f_code.co_name)
+    return real(*args, **kwargs)
+
+for mod in [m for name, m in sys.modules.items() if name.startswith("clusteraut")]:
+    for key, value in list(vars(mod).items()):
+        if value is real:
+            setattr(mod, key, counted)
+for a, b in (("7", "3"), ("3", "3")):
+    for argv in (["group-structure"], ["group-mul", "s2", "s3"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([argv[0], "--a", a, "--b", b, *argv[1:]]) == 0
+    print(callers)
+    callers.clear()
+"""
+
+
+def test_group_structure_composes_no_maps_but_the_h_check():
+    """The action tables are read from word folds and checked on the
+    generators' images: group-structure and group-mul compose no surface
+    map at (7,3), and at (3,3) only the check h o s2 o h = s3 does."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COMPOSES],
+        capture_output=True, text=True, timeout=120, cwd=ROOT, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]", "['derive_action_tables', 'derive_action_tables']",
+    ]
