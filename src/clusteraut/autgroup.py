@@ -2,10 +2,15 @@
 
 Elements are written d * m * h with d = r^k * s2^s in the dihedral part
 (r = s2 s3), m a diagonal scaling and h the coordinate reversal (only
-when a = b >= 2).  The action of the dihedral part on the scaling lattice
-is not assumed: it is derived once per parameter pair by reading each
-conjugate of a basis scaling from the index fold of its word
-(``surface.fold_word``) and checking it on the generator's own images.
+when a = b >= 2).  The group law is the index fold of words
+(``surface.fold_word``): every atom sends each y_n to t^e * y_n', and an
+element is read back from the four pairs (e, n) of y1..y4 (``_element``).
+``from_word`` folds a word, ``gmul`` and ``ginv`` fold normal-form words,
+and ``identify`` reads the same pairs from a map at one point.  The action
+of the dihedral part on the scaling lattice is not assumed either: the
+tables of ``derive_action_tables`` read each conjugate of a basis scaling
+from the fold of its word and check it on the generator's own images,
+which certifies the fold's m(i, j) rule on the generators' maps.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .surface import (
     equal,
     fold_word,
     identity,
-    order_of,
     sigma2,
     sigma3,
     swap,
@@ -183,12 +187,6 @@ def structure_of(params: Params) -> GroupStructure:
     )
 
 
-def _apply_table(table, mu, params: Params):
-    (m00, m01), (m10, m11) = table
-    i, j = mu
-    return ((m00 * i + m01 * j) % params.a, (m10 * i + m11 * j) % params.b)
-
-
 class GroupElement(Record):
     """Normal form r^r_exp * s2^s * scaling(mu) * h^h."""
 
@@ -235,150 +233,91 @@ def identity_element(structure: GroupStructure) -> GroupElement:
     return GroupElement(structure)
 
 
-# -- right multiplication by generators ------------------------------------
+# -- the group law: every element is read from a word fold ------------------
 
 
-def _r_conj_once(structure: GroupStructure, mu, inverse: bool):
-    p = structure.params
-    if inverse:
-        # r * m * r^-1: pass through s3 first, then s2
-        return _apply_table(
-            structure.s2_table, _apply_table(structure.s3_table, mu, p), p
-        )
-    # r^-1 * m * r: pass through s2 first, then s3
-    return _apply_table(
-        structure.s3_table, _apply_table(structure.s2_table, mu, p), p
-    )
+#: (s, e, n) for the four shapes r^k s2^s m h^e: with k = 0, the image of
+#: y_i is a multiple of y_(n + i - 1) when s = e, of y_(n - i + 1) otherwise.
+_WINDOWS = ((0, 0, 1), (1, 0, 3), (0, 1, 4), (1, 1, 0))
 
 
-def _r_conj(structure: GroupStructure, t: int, mu):
-    """Index pair of r^-t * scaling(mu) * r^t."""
-    if mu == (0, 0) or t == 0:
-        return mu
-    inverse = t < 0
-    # the conjugation is an automorphism of a finite group, so it cycles;
-    # find the small period instead of iterating |t| times
-    seen = [mu]
-    cur = mu
-    for _ in range(abs(t)):
-        cur = _r_conj_once(structure, cur, inverse)
-        if cur == mu:
-            return seen[abs(t) % len(seen)]
-        seen.append(cur)
-        if len(seen) > 64:
-            raise EngineError("conjugation action failed to cycle")
-    return cur
+def _scaling_exponents(params: Params, mu, h: int) -> list:
+    """The t-exponents of the images of y1..y4 under m(mu) h^h."""
+    m = params.m
+    u, v = (m // params.a) * mu[0], (m // params.b) * mu[1]
+    exps = [-v % m, u % m, v % m, -u % m]
+    return exps[::-1] if h else exps
 
 
-def _append_r_power(e: GroupElement, t: int) -> GroupElement:
-    """e * r^t in normal form."""
-    if t == 0:
-        return e
-    # passing r^t through the reversal flips its exponent before it meets mu
-    t_inner = -t if e.h else t
-    sign = -1 if (e.s + e.h) & 1 else 1
-    return GroupElement(
-        e.structure,
-        e.r_exp + sign * t,
-        e.s,
-        _r_conj(e.structure, t_inner, e.mu),
-        e.h,
-    )
+def _element(structure: GroupStructure, exps, ns) -> GroupElement | None:
+    """The element that sends each y_i to t^exps[i] * y_ns[i], or None when
+    there is none.  Each n may be exact or taken modulo the period."""
+    params = structure.params
+    period = expected_period(params)
+    ns = [n % period if period else n for n in ns]
+    way = ns[1] - ns[0]
+    if period and way % period in (1, period - 1):
+        way = 1 if way % period == 1 else -1
+    if way not in (1, -1):
+        return None
+    for s, h, start in _WINDOWS:
+        if (s == h) != (way == 1) or (h and not structure.has_swap):
+            continue
+        # y1 goes to a multiple of y_(start - 2k)
+        if period:
+            ks = [
+                k for k in range(structure.r_order)
+                if (start - 2 * k - ns[0]) % period == 0
+            ]
+        else:
+            ks = [(start - ns[0]) // 2] if (start - ns[0]) % 2 == 0 else []
+        for k in ks:
+            want = [start - 2 * k + way * i for i in range(4)]
+            if ns != [n % period if period else n for n in want]:
+                continue
+            # the images of y2 and y3 carry t^(m/a i) and t^(m/b j) (swapped by h)
+            ea, eb = exps[2 if h else 1], exps[1 if h else 2]
+            mu = (ea // (params.m // params.a), eb // (params.m // params.b))
+            if list(exps) != _scaling_exponents(params, mu, h):
+                return None
+            return GroupElement(structure, k, s, mu, h)
+    return None
 
 
-def _append_s2(e: GroupElement) -> GroupElement:
-    """e * s2 in normal form."""
-    st = e.structure
-    p = st.params
-    if e.h == 0:
-        return GroupElement(
-            st, e.r_exp, e.s ^ 1, _apply_table(st.s2_table, e.mu, p), 0
-        )
-    # m h s2 = m s3 h = s2 r m' h with m' the s3-conjugate of m
-    sign = -1 if e.s == 0 else 1
-    return GroupElement(
-        st, e.r_exp + sign, e.s ^ 1, _apply_table(st.s3_table, e.mu, p), 1
-    )
+def from_word(structure: GroupStructure, word) -> GroupElement:
+    """The element of a word of generator atoms, leftmost acting last: the
+    word is folded to the pairs (e, n) of y1..y4 (``surface.fold_word``) and
+    ``_element`` reads the normal form from them.
 
-
-def _append_s3(e: GroupElement) -> GroupElement:
-    """e * s3 = (e * s2) * r."""
-    return _append_r_power(_append_s2(e), 1)
-
-
-def _append_scaling(e: GroupElement, i: int, j: int) -> GroupElement:
-    st = e.structure
-    p = st.params
-    if e.h:
-        i, j = _apply_table(st.h_table, (i, j), p)
-    return GroupElement(st, e.r_exp, e.s, (e.mu[0] + i, e.mu[1] + j), e.h)
-
-
-def _append_h(e: GroupElement) -> GroupElement:
-    st = e.structure
-    if st.params == Params(1, 1):
-        # the reversal exists but coincides with r^2 s2 (order-10 dihedral)
-        return _append_s2(_append_r_power(e, 2))
-    if not st.has_swap:
-        raise SwapRequiresEqualParams(
-            f"no reversal generator for {st.params}"
-        )
-    return GroupElement(st, e.r_exp, e.s, e.mu, e.h ^ 1)
+    Atoms are ('s2',), ('s3',), ('m', i, j), ('h',), ('r', k) and ('sp', p),
+    matching the word grammar used by the command line tools.  At (1,1) the
+    reversal h is the element r^2 s2.
+    """
+    params = structure.params
+    if params.a != params.b and any(atom[0] == "h" for atom in word):
+        raise SwapRequiresEqualParams(f"no reversal generator for {params}")
+    exps, ns, _ = fold_word(params, word)
+    x = _element(structure, exps, ns)
+    if x is None:
+        raise EngineError(f"the fold of {word!r} is no group element")
+    return x
 
 
 def gmul(x: GroupElement, y: GroupElement) -> GroupElement:
-    """Product x * y in normal form."""
+    """Product x * y in normal form: the element of the normal-form word of
+    x followed by that of y."""
     if x.structure.params != y.structure.params:
         raise StructureMismatch(
             f"elements for {x.structure.params} and {y.structure.params}"
         )
-    e = _append_r_power(x, y.r_exp)
-    if y.s:
-        e = _append_s2(e)
-    if y.mu != (0, 0):
-        e = _append_scaling(e, *y.mu)
-    if y.h:
-        e = _append_h(e)
-    return e
+    return from_word(x.structure, normal_word(x) + normal_word(y))
 
 
 def ginv(x: GroupElement) -> GroupElement:
-    """Inverse element: gmul(x, ginv(x)) is the identity."""
-    e = identity_element(x.structure)
-    if x.h:
-        e = _append_h(e)
-    if x.mu != (0, 0):
-        e = _append_scaling(e, -x.mu[0], -x.mu[1])
-    if x.s:
-        e = _append_s2(e)
-    return _append_r_power(e, -x.r_exp)
-
-
-def from_word(structure: GroupStructure, word) -> GroupElement:
-    """Fold a word of generator atoms, leftmost acting last.
-
-    Atoms are ('s2',), ('s3',), ('m', i, j), ('h',), ('r', k) and ('sp', p),
-    matching the word grammar used by the command line tools.
-    """
-    e = identity_element(structure)
-    for atom in word:
-        kind = atom[0]
-        if kind == "s2":
-            e = _append_s2(e)
-        elif kind == "s3":
-            e = _append_s3(e)
-        elif kind == "m":
-            e = _append_scaling(e, atom[1], atom[2])
-        elif kind == "h":
-            e = _append_h(e)
-        elif kind == "r":
-            e = _append_r_power(e, atom[1])
-        elif kind == "sp":
-            # sigma_p = (s3 s2)^(p-2) s2 = r^(2-p) s2
-            e = _append_s2(_append_r_power(e, 2 - atom[1]))
-        else:
-            raise ValueError(f"unknown generator atom {atom!r}")
-    return e
+    """Inverse element, the element of the inverted normal-form word
+    h^e m(-i, -j) s2^s r^-k: gmul(x, ginv(x)) is the identity."""
+    st, (i, j) = x.structure, x.mu
+    return from_word(st, normal_word(GroupElement(st, -x.r_exp, x.s, (-i, -j), x.h))[::-1])
 
 
 # -- evaluation onto surface maps ------------------------------------------
@@ -443,10 +382,11 @@ def word_order(params: Params, word, cap: int) -> int | None:
     The order k is taken in the group and proven on the surface with the
     normal-form word w of the element: w maps to f, w repeated k times maps
     to the identity, and repeated k/q times it does not, for each prime q
-    dividing k.  Each map comes from ``compose_word``, which applies each
-    atom's index action to the exact table of y_n, so the proof checks the
-    group's normal form (``from_word``, ``gmul``) against the letters of the
-    word.  Should the proof fail, the answer comes from ``order_of``.
+    dividing k.  Each map comes from ``compose_word``, four entries of the
+    exact table of y_n, so the proof checks the normal form that
+    ``_element`` read from the word's fold, and the order that powers in
+    ``gmul`` gave, on exact maps.  A failed proof is a fault of the engine
+    and raises ``EngineError``.
     """
     x = from_word(structure_of(params), word)
     k = element_order(x)
@@ -465,7 +405,7 @@ def word_order(params: Params, word, cap: int) -> int | None:
         and not any(is_identity(k // q) for q in _prime_factors(k))
     ):
         return k
-    return order_of(f, cap)
+    raise EngineError(f"the order {k} of {x} does not hold on the surface")
 
 
 # -- reading a map's element at one point ----------------------------------
@@ -480,11 +420,6 @@ SEED = (0x6A09E667F3BCC90, 0x3C6EF372FE94F82)
 #: The infinite cases index the orbit for n in -_REACH .. _REACH, enough for
 #: every element whose dihedral part has at most _REACH - 4 letters.
 _REACH = 64
-
-
-#: (s, e, n) for the four shapes r^k s2^s m h^e: with k = 0, the image of
-#: y_i is a multiple of y_(n + i - 1) when s = e, of y_(n - i + 1) otherwise.
-_WINDOWS = ((0, 0, 1), (1, 0, 3), (0, 1, 4), (1, 1, 0))
 
 
 @cache_per_budget(64)
@@ -542,52 +477,20 @@ def _read_images(f: EndoMap, point: tuple, orbit: dict) -> list:
     return reads
 
 
-def _scaling_exponents(params: Params, mu, h: int) -> list:
-    """The t-exponents of the images of y1..y4 under m(mu) h^h."""
-    m = params.m
-    u, v = (m // params.a) * mu[0], (m // params.b) * mu[1]
-    exps = [-v % m, u % m, v % m, -u % m]
-    return exps[::-1] if h else exps
-
-
 def identify(f: EndoMap) -> GroupElement | None:
     """The group element whose map takes the same values as f at the point,
-    or None when there is none; f is then no group element.
+    or None when there is none; f is then no group element.  Each image is
+    read as t^e * y_n at the point (``_read_images``) and ``_element`` reads
+    the element from those pairs, as ``from_word`` does from a word's fold.
 
     A match is evidence, not proof: callers confirm it with one exact
     ``equal``.
     """
-    params = f.params
-    st, point, orbit = _reading(params)
+    st, point, orbit = _reading(f.params)
     reads = _read_images(f, point, orbit)
     if None in reads:
         return None
-    period = expected_period(params)
-    ns = [n % period if period else n for _, n in reads]
-    way = ns[1] - ns[0]
-    if period and way % period in (1, period - 1):
-        way = 1 if way % period == 1 else -1
-    if way not in (1, -1):
-        return None
-    for s, h, start in _WINDOWS:
-        if (s == h) != (way == 1) or (h and not st.has_swap):
-            continue
-        # y1 goes to a multiple of y_(start - 2k)
-        if period:
-            ks = [k for k in range(st.r_order) if (start - 2 * k - ns[0]) % period == 0]
-        else:
-            ks = [(start - ns[0]) // 2] if (start - ns[0]) % 2 == 0 else []
-        for k in ks:
-            want = [start - 2 * k + way * i for i in range(4)]
-            if ns != [n % period if period else n for n in want]:
-                continue
-            # the images of y2 and y3 carry t^(m/a i) and t^(m/b j) (swapped by h)
-            ea, eb = reads[2 if h else 1][0], reads[1 if h else 2][0]
-            mu = (ea // (params.m // params.a), eb // (params.m // params.b))
-            if [e for e, _ in reads] != _scaling_exponents(params, mu, h):
-                return None
-            return GroupElement(st, k, s, mu, h)
-    return None
+    return _element(st, [e for e, _ in reads], [n for _, n in reads])
 
 
 # -- factor words ----------------------------------------------------------

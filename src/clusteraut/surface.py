@@ -297,7 +297,9 @@ def fold_word(params: Params, word) -> tuple:
         else:
             if kind == "h" and a != b:
                 raise SwapRequiresEqualParams(f"swap undefined for {params}")
-            c = 2 * atom[1] if kind == "sp" else _REFLECTIONS[kind]
+            c = 2 * atom[1] if kind == "sp" else _REFLECTIONS.get(kind)
+            if c is None:
+                raise ValueError(f"unknown generator atom {atom!r}")
             ns = [c - n for n in ns]
     return [e % m for e in exps], ns, wide
 

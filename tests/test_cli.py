@@ -268,6 +268,19 @@ def test_group_commands(capsys):
     assert code == 1 and "error" in err
 
 
+def test_reversal_at_unequal_params_keeps_each_commands_text(capsys):
+    """h at a != b is refused by the group as a missing generator and by the
+    surface as an undefined swap; at (1,1) the group reads h as r^2 s2."""
+    for a, b, left, right in (("2", "1", "h", "s2"), ("2", "3", "s2", "h")):
+        assert run_cli(capsys, "group-mul", "--a", a, "--b", b, left, right) == (
+            1, "", f"error: SwapRequiresEqualParams: no reversal generator for ({a},{b})\n",
+        )
+        assert run_cli(capsys, "aut-compose", "--a", a, "--b", b, left, right) == (
+            1, "", f"error: SwapRequiresEqualParams: swap undefined for ({a},{b})\n",
+        )
+    assert run_cli(capsys, "group-mul", "--a", "1", "--b", "1", "h", "s2") == (0, "r^2\n", "")
+
+
 def test_geom_and_classify(capsys):
     code, payload, _ = run_json(capsys, "geom-boundary", "--a", "2", "--b", "3",
                                 "--model", "pentagon")

@@ -282,20 +282,41 @@ def test_orders_above_the_cap_and_infinite_orders():
 
 def test_a_wrong_group_order_is_refused_by_the_proof(monkeypatch):
     """The surface proof refuses any k that is not the exact order (a
-    multiple of it, or a proper divisor), and the answer then comes from
-    order_of."""
+    multiple of it, or a proper divisor) with ``EngineError``: the order and
+    the element both come from the word fold, so a failed proof is a fault
+    of the engine, not a case for a second answer."""
     real = autgroup.element_order
     for a, b, word in ((2, 1, "s2 s3"), (3, 1, "s2 m(1,0)"), (2, 2, "h m(1,0)"), (1, 1, "r")):
         params = Params(a, b)
         atoms = parse_word(word)
-        true = real(autgroup.from_word(autgroup.structure_of(params), atoms))
+        x = autgroup.from_word(autgroup.structure_of(params), atoms)
+        true = real(x)
         assert true == reference_order_of(compose_word(params, atoms), 24)
+        assert autgroup.word_order(params, atoms, 60) == true
         for lie in (2 * true, 3 * true, 5 * true, 6 * true, true // 2, true - 1):
             if lie < 1:
                 continue
             monkeypatch.setattr(autgroup, "element_order", lambda x, lie=lie: lie)
-            assert autgroup.word_order(params, atoms, 60) == true, (word, lie)
+            with pytest.raises(EngineError) as exc:
+                autgroup.word_order(params, atoms, 60)
+            assert str(exc.value) == f"the order {lie} of {x} does not hold on the surface"
         monkeypatch.setattr(autgroup, "element_order", real)
+
+
+def test_a_misread_element_is_refused_by_the_proof(monkeypatch):
+    """An element that is not the word's own, with its true order, fails the
+    first step of the proof (its normal-form word maps to another map), and
+    ``word_order`` raises instead of composing powers of the map."""
+    params = Params(2, 1)
+    st = autgroup.structure_of(params)
+    atoms = parse_word("s2")
+    wrong = autgroup.from_word(st, parse_word("s3"))
+    assert autgroup.element_order(wrong) == autgroup.word_order(params, atoms, 16) == 2
+    real = autgroup.from_word
+    monkeypatch.setattr(autgroup, "from_word", lambda s, w: wrong if w == atoms else real(s, w))
+    with pytest.raises(EngineError) as exc:
+        autgroup.word_order(params, atoms, 16)
+    assert str(exc.value) == f"the order 2 of {wrong} does not hold on the surface"
 
 
 # -- compositions of the cases that were too slow to run -----------------------

@@ -298,8 +298,8 @@ def test_sp_atom_folds_as_rotation_then_s2():
 
 
 def test_r_atom_folds_as_one_power():
-    """('r', k) folds through one _append_r_power, the same element as its
-    expanded word, and a huge k costs no more than a small one."""
+    """('r', k) folds as one shift of every index by -2k, the same element
+    as its expanded word, and a huge k costs no more than a small one."""
     for a, b in ((1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (3, 3)):
         st = structure_of(Params(a, b))
         prefixes = [[], [("s3",)], [("m", a - 1, b - 1), ("s2",)]]

@@ -35,6 +35,7 @@ from clusteraut.surface import (
     endo_to_obj,
     equal,
     factorize,
+    fold_word,
     identity,
     is_endomorphism,
     make_generator,
@@ -585,6 +586,27 @@ def test_fold_matches_letters_on_random_words_with_powers():
             word = [rng.choice(atoms) for _ in range(rng.randint(0, longest))]
             want = outcome(compose_letters, params, word)
             assert outcome(compose_word, params, word) == want, (a, b, word)
+
+
+def test_an_unknown_atom_is_refused_by_the_fold():
+    """The fold names an atom it does not know, as ``make_generator`` does,
+    and so do the maps and group elements of words."""
+    params = Params(2, 2)
+    for word, bad in (
+        ([("x",)], ("x",)), ([("s2",), ("q", 1)], ("q", 1)), ([("x",), ("m", 1, 0)], ("x",)),
+    ):
+        want = f"unknown generator atom {bad!r}"
+        for fold in (
+            lambda: fold_word(params, word),
+            lambda: compose_word(params, word),
+            lambda: autgroup.from_word(autgroup.structure_of(params), word),
+        ):
+            with pytest.raises(ValueError) as exc:
+                fold()
+            assert str(exc.value) == want
+    with pytest.raises(ValueError) as exc:
+        make_generator(params, ("x",))
+    assert str(exc.value) == "unknown generator atom ('x',)"
 
 
 def point_value(params, y):

@@ -15,8 +15,9 @@ pulls in ``inspect``, ``ast`` and ``dis``) nor ``clusteraut.geom``, which
 only the geometry commands load.
 
 The group's action tables are read from word folds and checked on the
-generators' images, so the group commands compose no surface map but the
-check h o s2 o h = s3 at a = b; a fresh interpreter counts the calls.
+generators' images, and every group element is read from a word fold, so
+the group commands and ``aut-order`` compose no surface map but the check
+h o s2 o h = s3 at a = b; a fresh interpreter counts the calls.
 """
 import ast
 import json
@@ -176,8 +177,14 @@ for mod in [m for name, m in sys.modules.items() if name.startswith("clusteraut"
     for key, value in list(vars(mod).items()):
         if value is real:
             setattr(mod, key, counted)
-for a, b in (("7", "3"), ("3", "3")):
-    for argv in (["group-structure"], ["group-mul", "s2", "s3"]):
+group = (["group-structure"], ["group-mul", "s2", "s3"])
+for a, b, argvs in (
+    ("7", "3", group),
+    ("3", "3", group + (["group-mul", "h m(1,2)", "s2 h"],)),
+    ("2", "2", (["aut-order", "s2 s3 m(1,1)"],)),
+    ("2", "1", (["aut-order", "s2 s3 m(1,1)"],)),
+):
+    for argv in argvs:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main([argv[0], "--a", a, "--b", b, *argv[1:]]) == 0
     print(callers)
@@ -187,8 +194,11 @@ for a, b in (("7", "3"), ("3", "3")):
 
 def test_group_structure_composes_no_maps_but_the_h_check():
     """The action tables are read from word folds and checked on the
-    generators' images: group-structure and group-mul compose no surface
-    map at (7,3), and at (3,3) only the check h o s2 o h = s3 does."""
+    generators' images, and the group law is the fold itself: group-structure
+    and group-mul compose no surface map at (7,3), and at (3,3), with h in
+    the words, only the check h o s2 o h = s3 does.  aut-order proves its
+    order with four table entries per map, so it composes none at (2,1) and
+    only the h check at (2,2); a fallback to powers of the map would show."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _COMPOSES],
@@ -197,4 +207,5 @@ def test_group_structure_composes_no_maps_but_the_h_check():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "[]", "['derive_action_tables', 'derive_action_tables']",
+        "['derive_action_tables', 'derive_action_tables']", "[]",
     ]
