@@ -11,6 +11,9 @@ of the dihedral part on the scaling lattice is not assumed either: the
 tables of ``derive_action_tables`` read each conjugate of a basis scaling
 from the fold of its word and check it on the generator's own images,
 which certifies the fold's m(i, j) rule on the generators' maps.
+``factor_word`` reads an element's word from its normal form, with no table
+per pair: the dihedral part of each alternating word of at most five
+letters is a closed form in its length and first letter.
 """
 
 from __future__ import annotations
@@ -496,53 +499,65 @@ def identify(f: EndoMap) -> GroupElement | None:
 # -- factor words ----------------------------------------------------------
 
 _LETTERS = (("s2",), ("s3",))
+#: The alternating words of at most five letters, shortest first, those that
+#: start with s2 before those with s3.
+_DIHEDRAL = ((),) + tuple(
+    (pair * 3)[:n] for pair in (_LETTERS, _LETTERS[::-1]) for n in range(1, 6)
+)
+#: (k, s) with r^k s2^s the element of each word in _DIHEDRAL:
+#: (s2 s3)^q s2^e is r^q s2^e, and (s3 s2)^q s3^e is r^-(q + e) s2^e, as
+#: s3 s2 = r^-1 and s3 = r^-1 s2.
+_DIHEDRAL_PARTS = tuple(
+    (-(q + e), e) if word[:1] == (("s3",),) else (q, e)
+    for word in _DIHEDRAL
+    for q, e in [divmod(len(word), 2)]
+)
 
 
-def _key(x: GroupElement) -> tuple:
-    return (x.r_exp, x.s, x.mu, x.h)
+def _dihedral_index(x: GroupElement) -> int | None:
+    """The index in _DIHEDRAL of the first word with the dihedral part of x,
+    or None when there is none.  In a finite group k is taken modulo the
+    order of r."""
+    order = x.structure.r_order
+    parts = [(k % order, s) for k, s in _DIHEDRAL_PARTS] if order else _DIHEDRAL_PARTS
+    part = (x.r_exp, x.s)
+    return parts.index(part) if part in parts else None
 
 
-@cache_per_budget(64)
-def _residue_words(params: Params) -> dict:
-    """{(k, s, mu, h): word} giving each element whose dihedral part has at
-    most five letters its first word in the order: dihedral word (the
-    alternating words, shortest first, those that start with s2 before
-    those with s3), then m(i, j) in row order, then h when a = b.  Every
-    element of a finite group has such a word."""
-    st = structure_of(params)
-    dihedral = [()]
-    for pair in (_LETTERS, _LETTERS[::-1]):
-        dihedral += [(pair * 3)[:n] for n in range(1, 6)]
-    swaps = [(), (("h",),)] if params.a == params.b else [()]
-    table: dict = {}
-    for d in dihedral:
-        for i in range(params.a):
-            for j in range(params.b):
-                m = (("m", i, j),) if i or j else ()
-                for h in swaps:
-                    word = d + m + h
-                    table.setdefault(_key(from_word(st, word)), word)
-    return table
+def _residue_word(x: GroupElement) -> list:
+    """The first word d m(i, j) h^e of x in the order (d, i, j, e): for each
+    e, d m(i, j) is y = x h^e (one fold), so d is the first word with the
+    dihedral part of y and (i, j) is its scaling.  At (1, 1), where h is
+    r^2 s2, both e give a word, and h comes before s2 s3 s2 s3 s2."""
+    st = x.structure
+    best = None
+    for e in (0, 1) if st.params.a == st.params.b else (0,):
+        y = from_word(st, normal_word(x) + [("h",)]) if e else x
+        index = None if y.h else _dihedral_index(y)
+        if index is not None and (best is None or (index, y.mu, e) < best):
+            best = (index, y.mu, e)
+    index, (i, j), e = best
+    return list(_DIHEDRAL[index]) + ([("m", i, j)] if i or j else []) + [("h",)] * e
 
 
 def factor_word(x: GroupElement, steps: int) -> list | None:
     """The word factorize gives for x, or None when it needs more than
     ``steps`` letters in front of its residue word.
 
-    While the dihedral part of x is longer than five letters, its leftmost
-    letter comes off, as the degree descent takes it off the map; the rest
-    is looked up in the residue words.
+    While the dihedral part of x is none of the alternating words of at most
+    five letters, its leftmost letter comes off, as the degree descent takes
+    it off the map; the residue word of the rest is read from its normal
+    form (``_residue_word``).  In a finite group every element has one.
     """
-    table = _residue_words(x.structure.params)
     prefix: list = []
-    while _key(x) not in table:
+    while _dihedral_index(x) is None:
         if len(prefix) == steps:
             return None
         # r^k s2^s starts with s2 when k > 0, or k = 0 and s = 1
         letter = _LETTERS[0] if x.r_exp > 0 or (x.r_exp == 0 and x.s) else _LETTERS[1]
         prefix.append(letter)
-        x = gmul(from_word(x.structure, [letter]), x)
-    return prefix + list(table[_key(x)])
+        x = from_word(x.structure, [letter] + normal_word(x))
+    return prefix + _residue_word(x)
 
 
 def enumerate_finite(structure: GroupStructure):

@@ -261,11 +261,6 @@ def check_relation(params: Params, n: int) -> bool:
     return lo * hi == mid ** c + LaurentPoly.one(mid.ring)
 
 
-def is_finite_type(params: Params) -> bool:
-    """Finitely many cluster variables iff a*b <= 3."""
-    return params.product <= 3
-
-
 def expected_period(params: Params) -> int | None:
     """Period h+2 from the finite-type classification: 5, 6, 8 for ab = 1, 2, 3."""
     return {1: 5, 2: 6, 3: 8}.get(params.product)

@@ -527,10 +527,6 @@ def fibered_modification_steps(t: NgonType):
     return cur, moves
 
 
-def fibered_modification_type(t: NgonType) -> NgonType:
-    return fibered_modification_steps(t)[0]
-
-
 def is_standard(t: NgonType) -> bool:
     """Two adjacent 0-curves and everything else at most -2."""
     n = len(t)

@@ -231,15 +231,6 @@ def descending_keys(p: LaurentPoly, params: Params) -> list:
     return sorted(p._terms, key=lambda e: K.order_key(e, w), reverse=True)
 
 
-def leading_term(p: LaurentPoly, params: Params) -> tuple[Key, int]:
-    """The order-maximal (key, coefficient) pair of p; undefined for 0."""
-    if p.is_zero():
-        raise ZeroPolynomial("leading term of the zero polynomial")
-    w = params.weights
-    key = max(p._terms, key=lambda e: K.order_key(e, w))
-    return key, p._terms[key]
-
-
 def exact_div(p: LaurentPoly, q: LaurentPoly, params: Params) -> LaurentPoly:
     """The unique r with p == q * r, or raise NotDivisible.
 

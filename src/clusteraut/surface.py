@@ -376,9 +376,9 @@ def factorize(f: EndoMap, max_word: int = 16) -> list:
     """Express f as a word in s2, s3, m(i, j) and h.
 
     The group element of f is read at one point (``autgroup.identify``) and
-    its word taken from the group (``autgroup.factor_word``); the word is
-    accepted only when its ``compose_word`` map, the index action of each
-    atom on the exact table of y_n, equals f.  Maps that are no
+    its word from the element's normal form (``autgroup.factor_word``); the
+    word is accepted only when its ``compose_word`` map, the index action of
+    each atom on the exact table of y_n, equals f.  Maps that are no
     group element, or whose reading fails that check, go down the degree
     descent: pre-compose with whichever of sigma2/sigma3 strictly lowers
     the total weighted degree of the images, and read the result again.
@@ -437,10 +437,6 @@ def endo_to_obj(f: EndoMap) -> dict:
     ``term_rows`` list of its polynomial."""
     images = [term_rows(e, f.params) for e in f.images]
     return {"a": f.params.a, "b": f.params.b, "images": images}
-
-
-def endo_to_json(f: EndoMap) -> str:
-    return json.dumps(endo_to_obj(f), sort_keys=True, separators=(",", ":"))
 
 
 def _obj_error(detail: str) -> ParseError:

@@ -23,7 +23,7 @@ from clusteraut import autgroup as ag
 from clusteraut import cluster
 from clusteraut import geom
 from clusteraut import surface as surf
-from clusteraut.cli import _SUITES
+from clusteraut.suites import SUITES
 
 PERIOD_CAP = 250_000     # criterion 1: lets the (2,2)/(4,1) walks reach n=50
 SWEEP_CAP = 120_000      # criterion 2: per-variable term budget
@@ -418,7 +418,7 @@ def test_criterion_13_classification():
 
 
 def test_criterion_14_errata_suite():
-    entries = _SUITES["errata"]()
+    entries = SUITES["errata"]()
     ok = len(entries) == 3 and all(e["ok"] for e in entries)
     names = "; ".join(e["name"] for e in entries)
     report(14, ok, f"exactly three discrepancies, each machine-confirmed: {names}")

@@ -619,7 +619,7 @@ def clear_caches():
 
     caches = (
         surface.identity, surface.sigma2, surface.sigma3, surface.scaling, surface.swap,
-        autgroup.structure_of, autgroup._reading, autgroup._residue_words,
+        autgroup.structure_of, autgroup._reading,
     )
     for fn in caches:
         fn.cache_clear()

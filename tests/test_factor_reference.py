@@ -6,7 +6,9 @@ at most five letters, a scaling and the reversal, scanned with ``equal``,
 plus a degree descent) and ``reference_order_of`` (powers of the map, one
 full composition at a time) are the earlier implementations, kept here as
 they were.  The words, error texts and orders of the new code must match
-theirs.
+theirs.  ``reference_factor_word`` is the group-side factorization as it
+was before its residue words were read from the normal form: a table of the
+first word of every such product, built with one ``from_word`` each.
 """
 import random
 from functools import lru_cache
@@ -94,6 +96,49 @@ def reference_factorize(f: EndoMap, max_word: int = 16) -> list:
     raise FactorizationFailed(f"descent exceeded {max_word} steps")
 
 
+_LETTERS = (("s2",), ("s3",))
+
+
+def _key(x) -> tuple:
+    return (x.r_exp, x.s, x.mu, x.h)
+
+
+@lru_cache(maxsize=4)
+def reference_residue_words(params: Params) -> dict:
+    """{(k, s, mu, h): word} giving each element whose dihedral part has at
+    most five letters its first word in the order: dihedral word (the
+    alternating words, shortest first, those that start with s2 before
+    those with s3), then m(i, j) in row order, then h when a = b."""
+    st = autgroup.structure_of(params)
+    dihedral = [()]
+    for pair in (_LETTERS, _LETTERS[::-1]):
+        dihedral += [(pair * 3)[:n] for n in range(1, 6)]
+    swaps = [(), (("h",),)] if params.a == params.b else [()]
+    table: dict = {}
+    for d in dihedral:
+        for i in range(params.a):
+            for j in range(params.b):
+                m = (("m", i, j),) if i or j else ()
+                for h in swaps:
+                    word = d + m + h
+                    table.setdefault(_key(autgroup.from_word(st, word)), word)
+    return table
+
+
+def reference_factor_word(x, steps: int) -> list | None:
+    """The leftmost letter comes off while x has no residue word; the rest
+    is looked up in the table."""
+    table = reference_residue_words(x.structure.params)
+    prefix: list = []
+    while _key(x) not in table:
+        if len(prefix) == steps:
+            return None
+        letter = _LETTERS[0] if x.r_exp > 0 or (x.r_exp == 0 and x.s) else _LETTERS[1]
+        prefix.append(letter)
+        x = autgroup.gmul(autgroup.from_word(x.structure, [letter]), x)
+    return prefix + list(table[_key(x)])
+
+
 def reference_order_of(f: EndoMap, cap: int = 16) -> int | None:
     """Smallest k in 1..cap with f^k = id, or None if there is none."""
     g = f
@@ -164,6 +209,76 @@ def test_paper_literal_factor_words_match_the_reference():
             word = random_word(rng, params, rng.randint(1, 3))
             f = compose_word(params, word, paper_literal=True)
             assert outcome(factorize, f) == outcome(reference_factorize, f)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[(a, b) for a in range(1, 8) for b in range(1, 8)], [(12, 5)], [(60, 60)]],
+    ids=["a,b<=7", "12,5", "60,60"],
+)
+def test_residue_words_match_the_reference_table(pairs):
+    """Every entry of the table, 11 ab words (twice that at a = b), is the
+    word read from the normal form; so are the words of longer dihedral
+    parts, under every cap, at the infinite pairs."""
+    rng = random.Random(12)
+    for a, b in pairs:
+        params = Params(a, b)
+        st = autgroup.structure_of(params)
+        table = reference_residue_words(params)
+        for key, word in table.items():
+            assert autgroup.factor_word(autgroup.GroupElement(st, *key), 0) == list(word), (a, b, key)
+        if st.is_finite:
+            assert len(table) == st.dihedral_order * st.mu_order
+            continue
+        for _ in range(20):
+            x = autgroup.GroupElement(
+                st, rng.randint(-6, 6), rng.randrange(2), (rng.randrange(a), rng.randrange(b)),
+                rng.randrange(2) if st.has_swap else 0,
+            )
+            for steps in (0, 1, 3, 16):
+                assert autgroup.factor_word(x, steps) == reference_factor_word(x, steps)
+
+
+def test_the_reversal_at_1_1_is_its_own_first_word():
+    """At (1,1) h folds to r^2 s2, whose dihedral word has five letters;
+    the word h comes first in the table's order (dihedral word, scaling,
+    then h), so h, and not s2 s3 s2 s3 s2, is its word."""
+    st = autgroup.structure_of(Params(1, 1))
+    x = autgroup.from_word(st, [("h",)])
+    assert (x.r_exp, x.s, x.mu, x.h) == (2, 1, (0, 0), 0)
+    assert autgroup.from_word(st, [("s2",), ("s3",)] * 2 + [("s2",)]) == x
+    assert autgroup.factor_word(x, 0) == [("h",)]
+    assert print_word(factorize(compose_word(Params(1, 1), [("h",)]))) == "h"
+    # r^2 = (r^2 s2) s2 is s2 s3 s2 s3 as well as s2 h; the shorter dihedral
+    # word comes first
+    assert autgroup.factor_word(autgroup.GroupElement(st, 2), 0) == [("s2",), ("s3",)] * 2
+
+
+def test_factor_words_fold_once_per_stripped_letter(monkeypatch):
+    """factor_word folds each word once: one fold per letter taken off a long
+    dihedral part, and at most one for the residue word.  Nothing is built
+    per pair, so a cold (60,60) costs no more than a warm (2,2)."""
+    cases = []
+    for a, b in ((2, 2), (4, 1), (3, 2), (60, 60), (1, 1), (3, 1)):
+        st = autgroup.structure_of(Params(a, b))
+        tail = [("m", 1, 0), ("h",)] if a == b else [("m", 1, 0)]
+        for letters in (_LETTERS, _LETTERS[::-1]):
+            for n in range(13):
+                x = autgroup.from_word(st, list(letters * 7)[:n] + tail)
+                cases.append((x, 0 if st.is_finite else max(0, n - 5)))
+    folds = [0]
+    real = autgroup.fold_word
+
+    def counted(*args):
+        folds[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(autgroup, "fold_word", counted)
+    for x, stripped in cases:
+        folds[0] = 0
+        word = autgroup.factor_word(x, 16)
+        assert folds[0] <= stripped + 1, (x, folds[0])
+        assert word == reference_factor_word(x, 16)
 
 
 def test_a_map_that_only_agrees_at_the_point_is_not_read_as_an_element():
@@ -345,7 +460,7 @@ def compose_counter(monkeypatch):
     monkeypatch.setattr(autgroup, "compose", counted)
     monkeypatch.setattr(cluster, "_surface_step", counted_step)
     cluster.clear_walk_cache()
-    for cache in (autgroup.structure_of, autgroup._reading, autgroup._residue_words):
+    for cache in (autgroup.structure_of, autgroup._reading):
         cache.cache_clear()
     return counts
 

@@ -28,7 +28,6 @@ from clusteraut.geom import (
     corner_blowup,
     elementary_move,
     fibered_modification_steps,
-    fibered_modification_type,
     is_anticanonical,
     is_standard,
     is_weak_del_pezzo,
@@ -206,7 +205,6 @@ def test_fibered_modification():
         out, moves = fibered_modification_steps(t)
         assert moves == a
         assert out.ints == (-a, 0, 0, -2)
-        assert fibered_modification_type(t) == out
     with pytest.raises(PreconditionViolated):
         fibered_modification_steps(NgonType((0, -1, -2, 0)))
     with pytest.raises(PreconditionViolated):

@@ -23,7 +23,6 @@ from clusteraut.poly import (
     Params,
     embed,
     exact_div,
-    leading_term,
     substitute,
     weighted_degree,
 )
@@ -199,6 +198,11 @@ def test_substitution_rejects_negative_exponents():
     images = [LaurentPoly.variable(i) for i in (1, 2, 3, 4)]
     with pytest.raises(NegativeExponent):
         substitute(p, images)
+
+
+def leading_term(p: LaurentPoly, params: Params) -> tuple:
+    """The order-maximal (key, coefficient) pair of a nonzero p."""
+    return max(p.terms(), key=lambda term: K.order_key(term[0], params.weights))
 
 
 def test_weighted_degree_and_leading_term():

@@ -31,7 +31,6 @@ from clusteraut.surface import (
     compose_word,
     endo_from_json,
     endo_from_obj,
-    endo_to_json,
     endo_to_obj,
     equal,
     factorize,
@@ -338,6 +337,11 @@ def test_budget_limits_composition():
             f = r
             for _ in range(10):
                 f = compose(r, f)
+
+
+def endo_to_json(f: EndoMap) -> str:
+    """Canonical JSON text of a map: its plain-data form, keys sorted."""
+    return json.dumps(endo_to_obj(f), sort_keys=True, separators=(",", ":"))
 
 
 def test_serialization_round_trip():
@@ -804,7 +808,7 @@ def test_rotation_atoms_match_their_letters():
 def test_generator_caches_are_bounded():
     caches = (
         surface.identity, surface.sigma2, surface.sigma3, surface.scaling,
-        surface.swap, autgroup.structure_of, autgroup._residue_words, autgroup._reading,
+        surface.swap, autgroup.structure_of, autgroup._reading,
     )
     for fn in caches:
         fn.cache_clear()
@@ -816,11 +820,9 @@ def test_generator_caches_are_bounded():
         swap(Params(params.a, params.a))
     for i in range(surface._SCALINGS + 1):
         scaling(Params(1, 1), i, 0)
-    # the group's residue words and point readings are kept per pair, as
-    # the structures are
+    # the group's point readings are kept per pair, as the structures are
     for a in range(1, autgroup.structure_of.cache_info().maxsize + 2):
         autgroup.structure_of(Params(a, 1))
-        autgroup._residue_words(Params(a, 1))
         autgroup._reading(Params(a, 1))
     for fn in caches:
         info = fn.cache_info()

@@ -117,11 +117,15 @@ import contextlib, io, sys
 from clusteraut import cli
 
 def loaded():
-    return [m for m in ("dataclasses", "inspect", "clusteraut.geom") if m in sys.modules]
+    return [
+        m for m in ("dataclasses", "inspect", "clusteraut.geom", "clusteraut.suites")
+        if m in sys.modules
+    ]
 
 print(loaded())
 for argv in (["cluster", "--a", "2", "--b", "2", "--n", "5"],
-             ["geom-boundary", "--a", "2", "--b", "3", "--model", "pentagon"]):
+             ["geom-boundary", "--a", "2", "--b", "3", "--model", "pentagon"],
+             ["verify", "--suite", "identities"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     print(loaded())
@@ -135,7 +139,9 @@ def test_cli_import_loads_only_what_a_command_uses():
         capture_output=True, text=True, timeout=120, cwd=ROOT, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]", "['clusteraut.geom']"]
+    assert proc.stdout.splitlines() == [
+        "[]", "[]", "['clusteraut.geom']", "['clusteraut.geom', 'clusteraut.suites']",
+    ]
 
 
 def _dataclass_imports(tree):
