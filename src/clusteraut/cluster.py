@@ -11,7 +11,8 @@ rules out) would surface as LaurentViolation.  The family is periodic exactly
 when a*b <= 3, with period 5, 6 or 8.
 
 The same y_n are elements of the surface algebra of ``surface``:
-``surface_var`` gives each as its normal form in y1, y2, y3, y4.
+``surface_var`` gives each as its normal form in y1, y2, y3, y4, read from
+the walk at (b, a), which is the Laurent expansion in the seed (y2, y3).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from itertools import count
 from typing import Iterator
 
 from . import _kernel as K
-from .budget import cache_per_budget, current_max_terms
+from .budget import WORK_FACTOR, cache_per_budget, current_max_terms
 from .errors import BudgetExceeded, LaurentViolation, NotDivisible
 from .poly import (
     LaurentPoly,
@@ -78,15 +79,15 @@ class _Prefix:
 
     __slots__ = ("values", "terms", "exps")
 
-    def __init__(self, seeds: tuple):
-        self.values = list(seeds)
-        self.terms = sum(v.num_terms for v in seeds)
+    def __init__(self):
+        self.values: list = []
+        self.terms = 0
         self.exps: dict = {}  # exponent tuples of the cached values, interned
 
 
 class _WalkCache:
-    """Prefixes of walks keyed by (params, direction, term budget), or by
-    (params, "surface", direction, term budget) for the surface variables,
+    """Prefixes of walks keyed by (params, direction, term budget), and the
+    surface variables, each alone under (params, "surface", n, term budget),
     least recently used first, holding at most WALK_CACHE_TERMS terms in
     total.
 
@@ -112,31 +113,27 @@ class _WalkCache:
             _, old = self.walks.popitem(last=False)
             self.terms -= old.terms
 
-    def prefix(self, key, seeds: tuple) -> list:
-        """The cached values of the walk ``key``, starting one if there is none."""
+    def prefix(self, key) -> list:
+        """The cached values of the walk ``key``."""
         with self.lock:
-            entry = self.walks.get(key)
-            if entry is None:
-                entry = _Prefix(seeds)
-                self._make_room(entry.terms)
-                self.walks[key] = entry
-                self.terms += entry.terms
-            else:
-                self.walks.move_to_end(key)
-            return entry.values
+            if key not in self.walks:
+                return []
+            self.walks.move_to_end(key)
+            return self.walks[key].values
 
     def extend(self, key, index: int, value: LaurentPoly) -> LaurentPoly:
-        """Append ``value`` as entry ``index`` of walk ``key`` if it continues
-        the cached prefix and fits the bound; return the value to hand out."""
+        """Append ``value`` as entry ``index`` of walk ``key`` (0 starts one) if
+        it continues the cached prefix and fits the bound; return the value."""
         size = value.num_terms
         with self.lock:
-            entry = self.walks.get(key)
+            entry = self.walks.get(key) or (_Prefix() if index == 0 else None)
             if (
                 entry is None
                 or len(entry.values) != index
                 or entry.terms + size > WALK_CACHE_TERMS
             ):
                 return value
+            self.walks[key] = entry
             self.walks.move_to_end(key)
             self._make_room(size)  # evicts only other walks: this one fits alone
             intern = entry.exps.setdefault
@@ -171,13 +168,12 @@ def cluster_walk(params: Params, direction: int = 1) -> Iterator[ClusterVar]:
     prev = cur = None
     for index in count():
         key = (params, direction, current_max_terms())
-        values = _walks.prefix(key, seeds)
+        values = _walks.prefix(key)
         if index < len(values):
             value = values[index]
         else:
-            value = _walks.extend(
-                key, index, _step_up(params, prev, cur, n - direction)
-            )
+            step = seeds[index] if index < 2 else _step_up(params, prev, cur, n - direction)
+            value = _walks.extend(key, index, step)
         yield ClusterVar(params, n, value)
         prev, cur = cur, value
         n += direction
@@ -208,48 +204,72 @@ def cluster_var(params: Params, n: int) -> ClusterVar:
             return var if target == n else ClusterVar(params, n, var.value)
 
 
-def _surface_step(params: Params, window: list, n: int) -> LaurentPoly:
-    """y_n in normal form from the four values before it in its walk: up,
-    ``y5_expression`` of y_(n-4)..y_(n-1) at (a, b) for odd n, (b, a) for
-    even; down, ``y0_expression`` of y_(n+1)..y_(n+4) at (a, b) for even n,
-    (b, a) for odd.  One reducing substitution and one normal form."""
-    a, b = params.a, params.b
-    if n > 4:
-        expr = y5_expression(params if n % 2 else Params(b, a))
-    else:
-        expr = y0_expression(Params(b, a) if n % 2 else params)
-        window = window[::-1]
-    cap = current_max_terms()
-    images = tuple(v.term_map() for v in window)
-    sub = K.substitute_terms(expr.term_map(), images, cap, None, (a, b), 0)
-    return LaurentPoly(ZZ, K.normal_form_terms(sub, a, b, 0, cap))
+def _standard_terms(laurent, a: int, b: int, max_terms: int) -> dict:
+    """The normal form of the element with the Laurent expansion in (y2, y3)
+    given by the pairs ((u, v, 0, 0, 0), c), the terms c * y2^u y3^v.
+
+    Its monomials are the standard monomials y2^u y3^v y4^g y1^d of the seed,
+    g = max(-u, 0), d = max(-v, 0) (Berenstein, Fomin and Zelevinsky,
+    "Cluster algebras III", Duke Math. J. 2005), that is y2^u y3^v (1 +
+    y3^b)^g (1 + z)^d with z = y2^a.  So the rows of y3^v are peeled from the
+    lowest, each divided by (1 + z)^d in each class of u mod a; C(g, j) times
+    each quotient term, times (1 + z)^d, comes off row v + b*j.
+    LaurentViolation if a row does not divide or a term passes the top row.
+    """
+    rows: dict = {}  # (v, u mod a) -> {u // a: coefficient}
+    for (u, v, _, _, _), c in laurent:
+        rows.setdefault((v, u % a), {})[u // a] = c
+    top, out = max((v for v, _ in rows), default=0), {}
+    work, work_cap = 0, max_terms * WORK_FACTOR
+    while rows:
+        v, r = min(rows)
+        row, d = rows.pop((v, r)), max(-v, 0)
+        power = K.binomial_row(d)  # (1 + z)^d
+        lo = min(row, default=0)
+        p = [row.get(k, 0) for k in range(lo, max(row, default=lo - 1) + 1)]
+        for k in range(len(p) - d):
+            c = p[k]
+            if not c:
+                continue
+            p[k : k + d + 1] = [y - c * x for y, x in zip(p[k : k + d + 1], power)]
+            u = r + a * (lo + k)
+            g = max(-u, 0)
+            if v + b * g > top:
+                raise LaurentViolation(f"row y3^{v}: a term passes the top row")
+            out[d, u + g, v + d, g, 0] = c
+            work += (g + 1) * (d + 1)
+            for j, w in enumerate(K.binomial_row(g)[1:], 1):
+                target = rows.setdefault((v + b * j, r), {})
+                for i, x in enumerate(power, lo + k):
+                    x = target.pop(i, 0) - c * w * x
+                    if x:
+                        target[i] = x
+        if any(p):
+            raise LaurentViolation(f"row y3^{v} is not divisible by (1 + y2^{a})^{d}")
+        if max_terms and (work > work_cap or len(out) + sum(map(len, rows.values())) > max_terms):
+            raise BudgetExceeded("normal form budget exhausted")
+    return out
 
 
 def surface_var(params: Params, n: int) -> LaurentPoly:
     """The cluster variable y_n in the surface algebra, in normal form over
-    Z, from the table of walks up from y1..y4 and down from y4..y1.
-
-    The walks live in the walk cache under (params, "surface", direction,
-    term budget), and a lookup computes only the steps it lacks.  In the
-    finite types n is first moved by whole periods p = ``expected_period``
-    into the p indices nearest the seeds, 3 - p//2 .. 2 + p - p//2.
+    Z: ``_standard_terms`` of the walk's y_(n-1) at (b, a), which is y_n in
+    the seed (y2, y3), kept in the walk cache unless refused.  In the finite
+    types n is first moved by whole periods p = ``expected_period`` into the
+    p indices nearest the seeds, 3 - p//2 .. 2 + p - p//2.
     """
     p = expected_period(params)
     if p is not None:
         n = (n - 3 + p // 2) % p + 3 - p // 2
     if 1 <= n <= 4:
         return (Y1, Y2, Y3, Y4)[n - 1]
-    up = n > 4
-    key = (params, "surface", 1 if up else -1, current_max_terms())
-    values = _walks.prefix(key, (Y1, Y2, Y3, Y4) if up else (Y4, Y3, Y2, Y1))
-    index, done = (n - 1 if up else 4 - n), len(values)
-    if index < done:
-        return values[index]
-    window = values[done - 4 : done]
-    for i in range(done, index + 1):
-        step = _surface_step(params, window, i + 1 if up else 4 - i)
-        window = window[1:] + [_walks.extend(key, i, step)]
-    return window[-1]
+    key = (params, "surface", n, current_max_terms())
+    cached = _walks.prefix(key)
+    if cached:
+        return cached[0]
+    laurent = cluster_var(Params(params.b, params.a), n - 1).value
+    terms = _standard_terms(laurent.terms(), params.a, params.b, key[3])
+    return _walks.extend(key, 0, LaurentPoly(ZZ, terms))
 
 
 def check_relation(params: Params, n: int) -> bool:

@@ -64,23 +64,6 @@ class PicardLattice(Record):
 
     __hash__ = Record.__hash__  # defining __eq__ would unset it
 
-    @property
-    def gram(self) -> tuple:
-        """The intersection form as a matrix (tuple of rows)."""
-        rows = []
-        for i in range(self.rank):
-            row = [0] * self.rank
-            rows.append(row)
-        if self.origin == PLANE:
-            rows[0][0] = 1
-            head = 1
-        else:
-            rows[0][1] = rows[1][0] = 1
-            head = 2
-        for i in range(head, self.rank):
-            rows[i][i] = -1
-        return tuple(tuple(r) for r in rows)
-
     def dot(self, u: tuple, v: tuple) -> int:
         if self.origin == PLANE:
             s = u[0] * v[0]
@@ -141,9 +124,6 @@ class DivisorClass(Record):
             self.lattice,
             tuple(x - y for x, y in zip(self.coeffs, other.coeffs)),
         )
-
-    def scaled(self, n: int) -> "DivisorClass":
-        return DivisorClass(self.lattice, tuple(n * x for x in self.coeffs))
 
 
 class NgonType(Record):

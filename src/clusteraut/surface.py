@@ -310,10 +310,10 @@ def compose_word(
     """The map of a word of atoms, leftmost acting last.
 
     The word is folded (``fold_word``) to the pairs (e, n) of y1..y4, and
-    each image is t^e times the table entry ``cluster.surface_var(n)``, over
-    Z[t]/(t^m - 1) when the word has an m atom.  ``paper_literal`` words,
-    whose sigma3 is no automorphism when a != b, go through
-    ``compose_letters``.
+    each image is t^e times the Laurent walk's y_n in normal form,
+    ``cluster.surface_var(n)``, over Z[t]/(t^m - 1) when the word has an m
+    atom.  ``paper_literal`` words, whose sigma3 is no automorphism when
+    a != b, go through ``compose_letters``.
     """
     if paper_literal:
         return compose_letters(params, word, True)

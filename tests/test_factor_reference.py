@@ -439,10 +439,10 @@ def test_a_misread_element_is_refused_by_the_proof(monkeypatch):
 
 @pytest.fixture
 def compose_counter(monkeypatch):
-    """[compositions and steps of the table of y_n, terms in their results],
-    counted from a cold start."""
+    """[compositions and conversions of the table of y_n, terms in their
+    results], counted from a cold start."""
     counts = [0, 0]
-    real_compose, real_step = surface.compose, cluster._surface_step
+    real_compose, real_convert = surface.compose, cluster._standard_terms
 
     def counted(*args, **kwargs):
         f = real_compose(*args, **kwargs)
@@ -450,15 +450,15 @@ def compose_counter(monkeypatch):
         counts[1] += sum(e.num_terms for e in f.images)
         return f
 
-    def counted_step(*args):
-        y = real_step(*args)
+    def counted_convert(*args):
+        terms = real_convert(*args)
         counts[0] += 1
-        counts[1] += y.num_terms
-        return y
+        counts[1] += len(terms)
+        return terms
 
     monkeypatch.setattr(surface, "compose", counted)
     monkeypatch.setattr(autgroup, "compose", counted)
-    monkeypatch.setattr(cluster, "_surface_step", counted_step)
+    monkeypatch.setattr(cluster, "_standard_terms", counted_convert)
     cluster.clear_walk_cache()
     for cache in (autgroup.structure_of, autgroup._reading):
         cache.cache_clear()

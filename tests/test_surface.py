@@ -48,6 +48,7 @@ from clusteraut.surface import (
     y0_expression,
     y5_expression,
 )
+from test_surface_reference import reference_surface_var
 
 ALL_PARAMS = [Params(a, b) for a in range(1, 4) for b in range(1, 4)]
 
@@ -547,12 +548,11 @@ def random_letters(rng, params, max_len):
 
 def surface_entries():
     """{(params, n): value} for every surface variable in the walk cache."""
-    entries = {}
-    for (params, kind, *rest), prefix in cluster._walks.walks.items():
-        if kind == "surface":
-            for i, value in enumerate(prefix.values):
-                entries[params, i + 1 if rest[0] == 1 else 4 - i] = value
-    return entries
+    return {
+        (key[0], key[2]): prefix.values[0]
+        for key, prefix in cluster._walks.walks.items()
+        if key[1] == "surface"
+    }
 
 
 def check_cache_consistent():
@@ -625,23 +625,26 @@ def point_value(params, y):
 
 
 def test_every_surface_variable_is_checked_three_ways():
-    """Each table entry built here through words equals the cluster walk's
-    y_n in the Laurent ring and takes the value of y_n in the orbit of the
-    F_p point; each takes part in an exchange relation y_(n-1) y_(n+1) =
-    y_n^c + 1, checked in normal form."""
+    """Each table entry built here through words equals the substitution
+    walk's y_n and, expanded in the Laurent ring of (y1, y2), the cluster
+    walk's y_n at (a, b) (the table reads the walk at (b, a) in (y2, y3));
+    it takes the value of y_n in the orbit of the F_p point; and each takes
+    part in an exchange relation y_(n-1) y_(n+1) = y_n^c + 1, checked in
+    normal form."""
     rng = random.Random(5)
     clear_walk_cache()
     for a, b, reach in ((1, 1, 6), (2, 1, 6), (1, 3, 6), (2, 2, 4), (4, 1, 3), (1, 4, 3), (3, 2, 1)):
         params = Params(a, b)
         for _ in range(10):
             compose_word(params, random_letters(rng, params, 4))
-        compose_word(params, [("r", reach)])
-        compose_word(params, [("r", -reach)])
+        for k in range(-reach, reach + 1):
+            compose_word(params, [("r", k)])
     entries = surface_entries()
     assert len(entries) >= 50
     related = set()
     for (params, n), y in entries.items():
         assert y is surface_var(params, n)
+        assert y.term_map() == reference_surface_var(params, n).term_map(), (params, n)
         assert laurent_expand(params, y) == cluster_var(params, n).value, (params, n)
         period = cluster.expected_period(params)
         _, _, orbit = autgroup._reading(params)
@@ -686,7 +689,7 @@ def test_surface_table_is_keyed_by_budget():
     word = [("s2",), ("s3",), ("s2",)]  # y1, y0, y-1 and y-2: 43 terms
     clear_walk_cache()
     want = compose_word(params, word + [("s3",)])
-    with limit(50):
+    with limit(20):
         for w in (word, word + [("s3",)], [("sp", 0)], [("r", 2)]):
             with pytest.raises(BudgetExceeded):
                 compose_word(params, w)
@@ -694,7 +697,7 @@ def test_surface_table_is_keyed_by_budget():
         f = compose_word(params, word)
         assert outcome(compose_word, params, word) == outcome(compose_letters, params, word)
     budgets = {key[3] for key in cluster._walks.walks if key[1] == "surface"}
-    assert budgets == {50, 200, current_max_terms()}
+    assert budgets == {20, 200, current_max_terms()}
     # the default budget's entries were kept through the refusals
     assert all(
         p is q for p, q in zip(compose_word(params, word + [("s3",)]).images, want.images)
@@ -721,21 +724,34 @@ def test_surface_table_stays_within_its_bound(monkeypatch):
     params = Params(2, 2)
     cold = {n: cluster_var(params, n).value for n in range(-12, 17)}
     monkeypatch.setattr(cluster, "WALK_CACHE_TERMS", bound)
+    budget = current_max_terms()
+    # at (2,2) the walk down mirrors the walk up: y_(5-n) has y_n's size
+    for direction in (1, -1):
+        walk = (params, direction, budget)
+        clear_walk_cache()
+        values = []
+        for i in range(5, 17):
+            n = i if direction == 1 else 5 - i
+            assert laurent_expand(params, surface_var(params, n)) == cold[n]
+            check_cache_consistent()
+            values.append((params, "surface", n, budget))
+            keys = list(cluster._walks.walks)
+            if i <= 11:
+                # y5..y11 (115 terms) fit beside the Laurent walk through y10
+                assert keys == values[:-1] + [walk, values[-1]]
+            elif i == 12:
+                # the walk's step to y11 evicts the values, least recent first
+                assert keys == [walk, values[-1]]
+            else:
+                # each value evicts the walk, which was used before it
+                assert keys == values[-1:]
+    # a value larger than the bound is handed out and not cached
+    monkeypatch.setattr(cluster, "WALK_CACHE_TERMS", 90)
     clear_walk_cache()
-    for n in range(5, 17):
-        # the upward walk holds y1..y4 and 232 more terms through y13
-        assert laurent_expand(params, surface_var(params, n)) == cold[n]
-        check_cache_consistent()
-    up = (params, "surface", 1, current_max_terms())
-    down = (params, "surface", -1, current_max_terms())
-    assert len(cluster._walks.walks[up].values) == 13
-    # y0 and y-1 fit beside the upward walk; y-3 evicts it, the least
-    # recently used, and the downward walk goes on uncached past y-8
-    for n in range(0, -13, -1):
-        assert laurent_expand(params, surface_var(params, n)) == cold[n]
-        check_cache_consistent()
-        assert list(cluster._walks.walks) == ([up, down] if n > -3 else [down])
-    assert len(cluster._walks.walks[down].values) == 13
+    assert surface_var(params, -12).num_terms == 98
+    assert laurent_expand(params, surface_var(params, -12)) == cold[-12]
+    assert not surface_entries()
+    check_cache_consistent()
 
 
 def test_threads_share_the_surface_table_safely(monkeypatch):

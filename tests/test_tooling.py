@@ -17,7 +17,9 @@ only the geometry commands load.
 The group's action tables are read from word folds and checked on the
 generators' images, and every group element is read from a word fold, so
 the group commands and ``aut-order`` compose no surface map but the check
-h o s2 o h = s3 at a = b; a fresh interpreter counts the calls.
+h o s2 o h = s3 at a = b; a fresh interpreter counts the calls.  The
+surface variables those maps are built from come from the Laurent walk, so
+building them substitutes nothing and rewrites nothing into normal form.
 """
 import ast
 import json
@@ -215,3 +217,45 @@ def test_group_structure_composes_no_maps_but_the_h_check():
         "[]", "['derive_action_tables', 'derive_action_tables']",
         "['derive_action_tables', 'derive_action_tables']", "[]",
     ]
+
+
+_REWRITES = """
+import contextlib, io, sys
+from clusteraut import _kernel, cli
+
+calls = {"substitute_terms": 0, "normal_form_terms": 0}
+
+def counting(name, real):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+    return counted
+
+for name in list(calls):
+    real = getattr(_kernel, name)
+    wrapped = counting(name, real)
+    for mod in [m for key, m in sys.modules.items() if key.startswith("clusteraut")]:
+        for key, value in list(vars(mod).items()):
+            if value is real:
+                setattr(mod, key, wrapped)
+for a, b in (("3", "2"), ("2", "3")):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["aut-compose", "--a", a, "--b", b, "s2", "s3", "s2", "s3", "s2"]) == 0
+    print(sorted(calls.items()))
+"""
+
+
+def test_surface_maps_need_no_substitution_or_rewriting():
+    """Each y_n of the table comes from the Laurent walk and one conversion
+    to standard monomials: a cold five-letter word at (3,2) and (2,3), whose
+    images are y_-1 .. y_-4, substitutes nothing and rewrites nothing into
+    normal form (the kernel's private alias of ``normal_form_terms`` is
+    counted too)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _REWRITES],
+        capture_output=True, text=True, timeout=120, cwd=ROOT, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    zero = "[('normal_form_terms', 0), ('substitute_terms', 0)]"
+    assert proc.stdout.splitlines() == [zero, zero]
