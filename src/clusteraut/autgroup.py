@@ -29,11 +29,10 @@ from .errors import (
 )
 from .budget import cache_per_budget
 from .cluster import expected_period
-from .poly import Params
+from .poly import LaurentPoly, Params
 from .record import Record
 from .surface import (
     EndoMap,
-    compose,
     compose_word,
     equal,
     fold_word,
@@ -87,13 +86,25 @@ def _conjugation_table(params: Params, g: EndoMap, label: str):
     return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
 
 
+def _h_conjugate(f: EndoMap) -> EndoMap:
+    """h o f o h at a = b, with no composition: h renames each y_i to
+    y_(5-i) and keeps normal forms, so the images are those of f in reverse
+    order, each key (e1, e2, e3, e4, k) renamed to (e4, e3, e2, e1, k)."""
+    images = tuple(
+        LaurentPoly(e.ring, {(e4, e3, e2, e1, k): c for (e1, e2, e3, e4, k), c in e.terms()})
+        for e in reversed(f.images)
+    )
+    return EndoMap(f.params, images)
+
+
 def derive_action_tables(params: Params) -> dict:
     """Conjugation action of s2, s3 (and h when a = b) on the scalings.
 
     Each table is read from the folds of the conjugation words and checked
     exactly on the images of sigma2, sigma3 and swap
     (``_conjugation_table``); nothing about the action is hard-coded.  At
-    a = b, h o s2 o h = s3 is checked by composing the maps.
+    a = b, h o s2 o h = s3 is checked exactly on the images, with h o s2 o h
+    read from sigma2's images by renaming (``_h_conjugate``), not composed.
     """
     tables = {
         "s2": _conjugation_table(params, sigma2(params), "s2"),
@@ -103,7 +114,7 @@ def derive_action_tables(params: Params) -> dict:
     if params.a == params.b:
         h = swap(params)
         tables["h"] = _conjugation_table(params, h, "h")
-        if not equal(compose(compose(h, sigma2(params)), h), sigma3(params)):
+        if not equal(_h_conjugate(sigma2(params)), sigma3(params)):
             raise ConjugationNotScaling(
                 "h o s2 o h does not equal s3; conjugation model is unsound"
             )

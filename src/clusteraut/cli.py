@@ -60,20 +60,23 @@ def cmd_cluster(args):
     var = cluster.cluster_var(params, args.n)
     keys = descending_keys(var.value, params)  # the order of both forms
     text_poly = print_poly(var.value, params, keys)
+    positive = var.positive
     payload = {
         "a": params.a,
         "b": params.b,
         "n": args.n,
         "num_terms": var.value.num_terms,
-        "positive": var.positive,
+        "positive": positive,
         "terms": surf.term_rows(var.value, params, keys),
         "text": text_poly,
     }
+    if args.format == "json":
+        return 0, payload, None  # the text form would not be printed
     text = "\n".join(
         [
             f"y{args.n} = {text_poly}",
             f"terms: {var.value.num_terms}",
-            f"positive coefficients: {_yes(var.positive)}",
+            f"positive coefficients: {_yes(positive)}",
         ]
     )
     return 0, payload, text

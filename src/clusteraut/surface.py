@@ -144,7 +144,10 @@ def identity(params: Params) -> EndoMap:
 
 
 def y0_expression(params: Params) -> LaurentPoly:
-    """y0 = y1^b * y4 - y2^(a-1) * sum_{i<b} (y1*y3)^i as a 4-variable polynomial."""
+    """y0 = y1^b * y4 - y2^(a-1) * sum_{i<b} (y1*y3)^i, the paper's formula
+    as a 4-variable polynomial, not in normal form.  ``verify --suite
+    identities`` checks it; ``sigma2`` builds its normal form directly, and
+    the tests check the two against each other."""
     a, b = params.a, params.b
     y1, y2, y3, y4 = (LaurentPoly.variable(i) for i in (1, 2, 3, 4))
     acc = LaurentPoly.zero()
@@ -154,7 +157,10 @@ def y0_expression(params: Params) -> LaurentPoly:
 
 
 def y5_expression(params: Params, paper_literal: bool = False) -> LaurentPoly:
-    """y5 = y4^a * y1 - y3^(b-1) * sum_{i<a} (y2*y4)^i.
+    """y5 = y4^a * y1 - y3^(b-1) * sum_{i<a} (y2*y4)^i, the paper's formula
+    as a 4-variable polynomial, not in normal form.  ``verify --suite
+    identities`` checks it; ``sigma3`` builds its normal form directly, and
+    the tests check the two against each other.
 
     The upper summation bound is a; ``paper_literal`` uses b instead, which
     breaks the identity whenever a != b.
@@ -168,30 +174,47 @@ def y5_expression(params: Params, paper_literal: bool = False) -> LaurentPoly:
     return y4 ** a * y1 - y3 ** (b - 1) * acc
 
 
+def _reflected_image(top: tuple, n: int, var: int, c: int) -> LaurentPoly:
+    """y^top - sum_{j<n} C(n, j+1) * y_var^(c*j + c - 1): the normal form of
+    y^top - y_var^(c-1) * sum_{i<n} (1 + y_var^c)^i, by the hockey-stick
+    identity sum_{i<n} (1 + z)^i = sum_{j<n} C(n, j+1) * z^j."""
+    terms = {top + (0,): 1}
+    for j, coeff in enumerate(K.binomial_row(n)[1:]):
+        key = [0, 0, 0, 0, 0]
+        key[var - 1] = c * j + c - 1
+        terms[tuple(key)] = -coeff
+    return LaurentPoly(ZZ, terms)
+
+
 @cache_per_budget(_PAIRS)
 def sigma2(params: Params) -> EndoMap:
     """The reflection fixing y2: y_n -> y_{4-n}.
 
-    Images: (y3, y2, y1, y0), with y0 from ``y0_expression``.
+    Images: (y3, y2, y1, y0).  y0 is ``y0_expression`` with y1*y3 = 1 + y2^a,
+    built in normal form: y1^b * y4 - sum_{j<b} C(b, j+1) * y2^(aj + a - 1).
     """
+    a, b = params.a, params.b
     y1, y2, y3 = (LaurentPoly.variable(i) for i in (1, 2, 3))
-    return EndoMap.make(params, [y3, y2, y1, y0_expression(params)])
+    y0 = _reflected_image((b, 0, 0, 1), b, 2, a)
+    return EndoMap.make(params, [y3, y2, y1, y0])
 
 
 @cache_per_budget(_PAIRS)
 def sigma3(params: Params, paper_literal: bool = False) -> EndoMap:
     """The reflection fixing y3: y_n -> y_{6-n}.
 
-    Images: (y5, y4, y3, y2), with y5 from ``y5_expression``.  The
-    ``paper_literal`` variant violates the relations whenever a != b and is
-    kept only so verification reports can exhibit the discrepancy, so it
-    is marked unverified there.  At a = b its y5 is the corrected one, and
-    ``verified`` is left to the relation check on first read, as for the
-    corrected variant.
+    Images: (y5, y4, y3, y2).  y5 is ``y5_expression`` with y2*y4 = 1 + y3^b,
+    built in normal form: y1 * y4^a - sum_{j<N} C(N, j+1) * y3^(bj + b - 1)
+    with N = a, or N = b for ``paper_literal``.  That variant violates the
+    relations whenever a != b and is kept only so verification reports can
+    exhibit the discrepancy, so it is marked unverified there.  At a = b its
+    y5 is the corrected one, and ``verified`` is left to the relation check
+    on first read, as for the corrected variant.
     """
+    a, b = params.a, params.b
     y2, y3, y4 = (LaurentPoly.variable(i) for i in (2, 3, 4))
-    y5 = y5_expression(params, paper_literal)
-    known_bad = paper_literal and params.a != params.b
+    y5 = _reflected_image((1, 0, 0, a), b if paper_literal else a, 3, b)
+    known_bad = paper_literal and a != b
     return EndoMap.make(params, [y5, y4, y3, y2], verified=False if known_bad else None)
 
 
@@ -420,14 +443,16 @@ def term_rows(p: LaurentPoly, params: Params, keys=None) -> list:
     1; over the degree-m surrogate ring, length m, entry k holding the
     coefficient of t^k.  ``keys`` may give the order, as
     ``descending_keys(p, params)`` does."""
-    tp = p.term_map()
+    tp = p._terms  # read, not copied
     if keys is None:
         keys = descending_keys(p, params)
+    width = p.ring.m or 1
     rows: dict = {}  # the terms of one monomial are adjacent in the order
     for key in keys:
-        row = rows.get(key[:4])
+        mono = key[:4]
+        row = rows.get(mono)
         if row is None:
-            row = rows[key[:4]] = [list(key[:4]), [0] * (p.ring.m or 1)]
+            row = rows[mono] = [list(mono), [0] * width]
         row[1][key[4]] = tp[key]
     return list(rows.values())
 

@@ -184,45 +184,30 @@ def parse_poly(src: str, ring: CoeffRing = ZZ) -> LaurentPoly:
     return LaurentPoly.from_terms(ring, pairs)
 
 
-def _format_monomial(exps) -> list:
-    parts = []
-    for i, e in enumerate(exps):
-        if e == 0:
-            continue
-        parts.append(f"y{i + 1}" if e == 1 else f"y{i + 1}^{e}")
-    return parts
-
-
-def _format_piece(coeff: int, key) -> tuple[int, str]:
-    """One textual term: returns (sign, body without sign)."""
-    sign = 1 if coeff >= 0 else -1
-    mag = abs(coeff)
-    parts = []
-    t_pow = key[4]
-    if t_pow:
-        parts.append("t" if t_pow == 1 else f"t^{t_pow}")
-    parts.extend(_format_monomial(key[:4]))
-    if mag != 1 or not parts:
-        parts.insert(0, str(mag))
-    return sign, "*".join(parts)
-
-
 def print_poly(p: LaurentPoly, params: Params, keys=None) -> str:
     """Canonical text: terms in descending weighted order, the terms of one
     monomial in ascending powers of t.  ``keys`` may give that order, as
     ``descending_keys(p, params)`` does."""
-    tp = p.term_map()
+    tp = p._terms  # read, not copied
     if not tp:
         return "0"
     if keys is None:
         keys = descending_keys(p, params)
-    pieces = [_format_piece(tp[key], key) for key in keys]
     out = []
-    for n, (sign, body) in enumerate(pieces):
-        if n == 0:
-            out.append(("-" if sign < 0 else "") + body)
+    for key in keys:
+        coeff = tp[key]
+        t_pow = key[4]
+        parts = [("t" if t_pow == 1 else f"t^{t_pow}")] if t_pow else []
+        for i, e in enumerate(key[:4], 1):
+            if e:
+                parts.append(f"y{i}" if e == 1 else f"y{i}^{e}")
+        if (coeff != 1 and coeff != -1) or not parts:
+            parts.insert(0, str(abs(coeff)))
+        body = "*".join(parts)
+        if out:
+            out.append(("- " if coeff < 0 else "+ ") + body)
         else:
-            out.append(("- " if sign < 0 else "+ ") + body)
+            out.append(("-" if coeff < 0 else "") + body)
     return " ".join(out)
 
 

@@ -456,8 +456,7 @@ def compose_counter(monkeypatch):
         counts[1] += len(terms)
         return terms
 
-    monkeypatch.setattr(surface, "compose", counted)
-    monkeypatch.setattr(autgroup, "compose", counted)
+    monkeypatch.setattr(surface, "compose", counted)  # the one module holding it
     monkeypatch.setattr(cluster, "_standard_terms", counted_convert)
     cluster.clear_walk_cache()
     for cache in (autgroup.structure_of, autgroup._reading):

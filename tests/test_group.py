@@ -24,8 +24,9 @@ from clusteraut.errors import (
     StructureMismatch,
     SwapRequiresEqualParams,
 )
-from clusteraut.poly import Params
+from clusteraut.poly import LaurentPoly, Params
 from clusteraut.surface import (
+    EndoMap,
     compose,
     compose_letters,
     compose_word,
@@ -364,6 +365,37 @@ def test_a_conjugate_that_is_no_scaling_is_refused():
     with pytest.raises(ConjugationNotScaling) as exc:
         autgroup._conjugation_table(params, sigma2(params), "s3")
     assert str(exc.value) == "conjugate of scaling(1, 0) by s3 is not a scaling"
+
+
+def test_h_conjugate_by_renaming_equals_the_composition():
+    """h o f o h read by renaming is the composed map, term for term and in
+    the same order, for sigma2 and sigma3 at every a = b <= 12."""
+    for a in range(1, 13):
+        params = Params(a, a)
+        h = swap(params)
+        for f in (sigma2(params), sigma3(params)):
+            got = autgroup._h_conjugate(f)
+            want = compose(compose(h, f), h)
+            assert equal(got, want)
+            assert [list(e.terms()) for e in got.images] == [
+                list(e.terms()) for e in want.images
+            ]
+
+
+def test_a_wrong_sigma2_fails_the_h_check(monkeypatch):
+    """A sigma2 with one coefficient of y0 off by one keeps the supports that
+    its action table is checked on, and is refused by h o s2 o h = s3."""
+    params = Params(3, 3)
+    s2 = sigma2(params)
+    y0 = s2.images[3]
+    terms = y0.term_map()
+    key = list(terms)[-1]
+    terms[key] += 1
+    bad = EndoMap(params, s2.images[:3] + (LaurentPoly(y0.ring, terms),))
+    monkeypatch.setattr(autgroup, "sigma2", lambda _: bad)
+    with pytest.raises(ConjugationNotScaling) as exc:
+        autgroup.derive_action_tables(params)
+    assert str(exc.value) == "h o s2 o h does not equal s3; conjugation model is unsound"
 
 
 def test_a_collision_in_the_enumeration_is_refused(monkeypatch):

@@ -15,11 +15,12 @@ pulls in ``inspect``, ``ast`` and ``dis``) nor ``clusteraut.geom``, which
 only the geometry commands load.
 
 The group's action tables are read from word folds and checked on the
-generators' images, and every group element is read from a word fold, so
-the group commands and ``aut-order`` compose no surface map but the check
-h o s2 o h = s3 at a = b; a fresh interpreter counts the calls.  The
-surface variables those maps are built from come from the Laurent walk, so
-building them substitutes nothing and rewrites nothing into normal form.
+generators' images, the check h o s2 o h = s3 at a = b renames images, and
+every group element is read from a word fold, so the group commands and
+``aut-order`` compose no surface map; a fresh interpreter counts the calls.
+The surface variables those maps are built from come from the Laurent walk,
+so building them substitutes nothing and rewrites nothing into normal form,
+and sigma2 and sigma3 are built in closed form, with no kernel product.
 """
 import ast
 import json
@@ -200,30 +201,31 @@ for a, b, argvs in (
 """
 
 
-def test_group_structure_composes_no_maps_but_the_h_check():
+def test_group_commands_compose_no_maps():
     """The action tables are read from word folds and checked on the
-    generators' images, and the group law is the fold itself: group-structure
-    and group-mul compose no surface map at (7,3), and at (3,3), with h in
-    the words, only the check h o s2 o h = s3 does.  aut-order proves its
-    order with four table entries per map, so it composes none at (2,1) and
-    only the h check at (2,2); a fallback to powers of the map would show."""
+    generators' images, the check h o s2 o h = s3 at a = b renames sigma2's
+    images, and the group law is the fold itself: group-structure and
+    group-mul compose no surface map at (7,3), nor at (3,3) with h in the
+    words.  aut-order proves its order with four table entries per map, so
+    it composes none at (2,2) or (2,1); a fallback to powers of the map
+    would show."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _COMPOSES],
         capture_output=True, text=True, timeout=120, cwd=ROOT, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "[]", "['derive_action_tables', 'derive_action_tables']",
-        "['derive_action_tables', 'derive_action_tables']", "[]",
-    ]
+    assert proc.stdout.splitlines() == ["[]"] * 4
 
 
-_REWRITES = """
+#: a fresh interpreter that counts the calls of the kernel functions
+#: ``names`` through every module that holds one, the kernel's private
+#: aliases included, and then runs ``body``
+_KERNEL_CALLS = """
 import contextlib, io, sys
 from clusteraut import _kernel, cli
 
-calls = {"substitute_terms": 0, "normal_form_terms": 0}
+calls = dict.fromkeys({names!r}, 0)
 
 def counting(name, real):
     def counted(*args, **kwargs):
@@ -238,11 +240,18 @@ for name in list(calls):
         for key, value in list(vars(mod).items()):
             if value is real:
                 setattr(mod, key, wrapped)
-for a, b in (("3", "2"), ("2", "3")):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["aut-compose", "--a", a, "--b", b, "s2", "s3", "s2", "s3", "s2"]) == 0
-    print(sorted(calls.items()))
+{body}
 """
+
+
+def _count_kernel_calls(names, body) -> list:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _KERNEL_CALLS.format(names=names, body=body)],
+        capture_output=True, text=True, timeout=120, cwd=ROOT, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 def test_surface_maps_need_no_substitution_or_rewriting():
@@ -251,11 +260,27 @@ def test_surface_maps_need_no_substitution_or_rewriting():
     images are y_-1 .. y_-4, substitutes nothing and rewrites nothing into
     normal form (the kernel's private alias of ``normal_form_terms`` is
     counted too)."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", _REWRITES],
-        capture_output=True, text=True, timeout=120, cwd=ROOT, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
+    body = """
+for a, b in (("3", "2"), ("2", "3")):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["aut-compose", "--a", a, "--b", b, "s2", "s3", "s2", "s3", "s2"]) == 0
+    print(sorted(calls.items()))
+"""
     zero = "[('normal_form_terms', 0), ('substitute_terms', 0)]"
-    assert proc.stdout.splitlines() == [zero, zero]
+    assert _count_kernel_calls(("substitute_terms", "normal_form_terms"), body) == [zero, zero]
+
+
+def test_group_structure_builds_its_generators_in_closed_form():
+    """sigma2 and sigma3 build y0 and y5 in normal form from the
+    hockey-stick identity, and the check h o s2 o h = s3 renames images: a
+    cold group-structure at (40,40) raises nothing to a power, multiplies
+    nothing and substitutes nothing."""
+    body = """
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["group-structure", "--a", "40", "--b", "40"]) == 0
+print(sorted(calls.items()))
+"""
+    names = ("pow_terms", "mul_terms", "substitute_terms")
+    assert _count_kernel_calls(names, body) == [
+        "[('mul_terms', 0), ('pow_terms', 0), ('substitute_terms', 0)]"
+    ]
