@@ -335,10 +335,11 @@ def compose_word(
     The word is folded (``fold_word``) to the pairs (e, n) of y1..y4, and
     each image is t^e times the Laurent walk's y_n in normal form,
     ``cluster.surface_var(n)``, over Z[t]/(t^m - 1) when the word has an m
-    atom.  ``paper_literal`` words, whose sigma3 is no automorphism when
-    a != b, go through ``compose_letters``.
+    atom.  ``paper_literal`` words at a != b, whose sigma3 is no
+    automorphism, go through ``compose_letters``; at a = b the literal
+    sigma3 is the corrected one, so they are folded like any word.
     """
-    if paper_literal:
+    if paper_literal and params.a != params.b:
         return compose_letters(params, word, True)
     from .cluster import surface_var  # cluster imports this module
 
@@ -356,7 +357,8 @@ def compose_letters(
     params: Params, word, paper_literal: bool = False
 ) -> EndoMap:
     """The map of a word composed one letter at a time, uncached: the path
-    of ``paper_literal`` words and the tests' reference for compose_word.
+    of ``paper_literal`` words at a != b and the tests' reference for
+    compose_word.
 
     ('r', k) is (s2 s3)^k, or (s3 s2)^|k| when k < 0, and ('sp', p) is
     r^(2-p) s2.  At the finite pairs |k| is first reduced modulo the order
@@ -410,6 +412,9 @@ def factorize(f: EndoMap, max_word: int = 16) -> list:
     """
     from . import autgroup  # autgroup imports this module
 
+    for i, e in enumerate(f.images, 1):
+        if e.is_zero():
+            raise FactorizationFailed(f"the image of y{i} is zero: no automorphism")
     params = f.params
     prefix: list = []
     g = f
@@ -543,6 +548,6 @@ def endo_from_obj(obj) -> EndoMap:
 def endo_from_json(src: str) -> EndoMap:
     try:
         obj = json.loads(src)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise _obj_error(f"invalid JSON ({exc})") from None
     return endo_from_obj(obj)

@@ -53,6 +53,12 @@ def _describe(tok: _Token) -> str:
     return f"'{tok.kind}'"
 
 
+def _digit(ch: str) -> bool:
+    """Is ``ch`` one of the ASCII digits 0-9?  (``str.isdigit`` also accepts
+    characters such as superscripts and other scripts' digits.)"""
+    return "0" <= ch <= "9"
+
+
 def _scan_poly(src: str) -> list:
     toks = []
     i, line, col = 0, 1, 0
@@ -73,9 +79,9 @@ def _scan_poly(src: str) -> list:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if _digit(ch):
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and _digit(src[j]):
                 j += 1
             toks.append(_Token("int", int(src[i:j]), line, col))
             col += j - i
@@ -88,7 +94,7 @@ def _scan_poly(src: str) -> list:
             continue
         if ch == "y":
             j = i + 1
-            while j < n and src[j].isdigit():
+            while j < n and _digit(src[j]):
                 j += 1
             name = src[i:j]
             if name in ("y1", "y2", "y3", "y4"):
@@ -220,7 +226,7 @@ def _scan_int(src: str, i: int, line: int, col: int) -> tuple[int, int, int]:
     if j < len(src) and src[j] == "-":
         j += 1
     k = j
-    while k < len(src) and src[k].isdigit():
+    while k < len(src) and _digit(src[k]):
         k += 1
     if k == j:
         found = repr(src[i]) if i < len(src) else "end of input"

@@ -1,15 +1,20 @@
 """Command-line interface: exit codes, JSON payload stability, text output."""
+import importlib.util
 import io
 import json
+import random
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clusteraut.cli import main
+from clusteraut.cli import clear_reply_cache, main
 from clusteraut.cluster import clear_walk_cache
 from clusteraut.textio import print_poly
 
@@ -102,16 +107,52 @@ def test_aut_factor_map_not_utf8(capsys, tmp_path, monkeypatch):
 
 
 def test_aut_factor_zero_map(capsys, tmp_path):
-    """A map whose images are all zero is refused like one with a zero image."""
-    one_zero = [[[[1, 0, 0, 0], [0]]], [[[0, 1, 0, 0], [1]]],
-                [[[0, 0, 1, 0], [1]]], [[[0, 0, 0, 1], [1]]]]
-    for images in ([[], [], [], []], one_zero):
+    """A map with a zero image is no automorphism: the factorization names
+    the first zero image, whether it is given as no rows or as rows whose
+    coefficients are all 0."""
+    ident = [[[[1, 0, 0, 0], [1]]], [[[0, 1, 0, 0], [1]]],
+             [[[0, 0, 1, 0], [1]]], [[[0, 0, 0, 1], [1]]]]
+    cases = [
+        ([[], [], [], []], 1),
+        ([[[[1, 0, 0, 0], [0]]]] + ident[1:], 1),
+        (ident[:2] + [[]] + ident[3:], 3),
+        (ident[:3] + [[[[0, 0, 0, 1], [0, 0]], [[2, 0, 0, 0], [0]]]], 4),
+    ]
+    for images, i in cases:
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"a": 2, "b": 2, "images": images}))
         code, out, err = run_cli(
             capsys, "aut-factor", "--a", "2", "--b", "2", "--map-json", str(path)
         )
-        assert (code, out) == (1, "") and err.startswith("error: ZeroPolynomial: ")
+        assert (code, out) == (1, "")
+        assert err == f"error: FactorizationFailed: the image of y{i} is zero: no automorphism\n"
+
+
+def test_aut_factor_deeply_nested_json(capsys, tmp_path):
+    """JSON nested past the decoder's recursion limit is malformed input."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(
+        capsys, "aut-factor", "--a", "2", "--b", "2", "--map-json", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad map object: invalid JSON (maximum recursion depth")
+    assert err.endswith(") (line 1, column 0)\n")
+
+
+def test_non_ascii_digits_are_parse_errors(capsys):
+    """Only 0-9 are digits in a word: a superscript or another script's
+    digit is malformed input (exit 2), neither a traceback nor a number."""
+    two, three = "\u00b2", "\u0663"
+    cases = [
+        (["aut-compose", f"sp({two})"], two, 3),
+        (["group-mul", f"r^{two}", "s2"], two, 2),
+        (["aut-compose", f"sp({three})"], three, 3),
+        (["aut-order", f"m(1,{three})"], three, 4),
+    ]
+    for (command, *words), ch, col in cases:
+        got = run_cli(capsys, command, "--a", "2", "--b", "2", *words)
+        assert got == (2, "", f"error: expected an integer, found {ch!r} (line 1, column {col})\n")
 
 
 def test_aut_factor_malformed_maps_exit_two(capsys, tmp_path):
@@ -363,6 +404,17 @@ def test_aut_compose_json_prints_no_text(capsys, monkeypatch):
     assert out.splitlines()[-1] == "verified: yes"
 
 
+def test_literal_order_at_equal_params_is_read_in_the_group(capsys):
+    """At a = b a literal word's order comes from the group, as without the
+    flag: s2 s3 has infinite order at (2,2), which composing 16 powers of
+    its map took minutes to find."""
+    for literal in ([], ["--paper-literal"]):
+        argv = ["aut-order", "--a", "2", "--b", "2", "s2", "s3", *literal]
+        assert run_cli(capsys, *argv) == (0, "none within cap=16\n", "")
+        argv = ["aut-order", "--a", "3", "--b", "3", "s3", "m(1,2)", *literal]
+        assert run_cli(capsys, *argv) == (0, "6\n", "")
+
+
 def test_paper_literal_only_on_aut_commands(capsys):
     for argv in (
         ["verify", "--suite", "identities"],
@@ -471,7 +523,134 @@ def test_cluster_and_period_argv_end_cleanly(command, a, b, n, n_max, max_terms)
     if result[0] == 0:
         json.loads(result[1])
         clear_walk_cache()
+        clear_reply_cache()
         assert call_main(argv) == result
+
+
+def benchmark_argv(workload, seed, count):
+    """The argv of the first ``count`` requests of a perfbench workload."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [req["argv"] for req in islice(workloads.requests(workload, seed), count)]
+
+
+def test_cluster_replies_repeat_byte_for_byte():
+    """Every argv of the first 600 cluster-walk benchmark requests (seed 1),
+    in both formats, prints the same stdout and stderr with the same exit
+    code each time it comes up in one process, the first time included."""
+    clear_walk_cache()
+    clear_reply_cache()
+    replies = {}
+    for argv in benchmark_argv("cluster-walk", 1, 600):
+        assert argv[-2:] == ["--format", "json"]
+        for fmt in ("json", "text"):
+            argv = argv[:-1] + [fmt]
+            first = replies.setdefault(tuple(argv), call_main(argv))
+            assert first[0] == 0
+            assert call_main(argv) == first, argv
+
+
+def test_repeated_cluster_request_computes_nothing(capsys, monkeypatch):
+    """A repeat prints the held reply without computing, sorting, formatting
+    or encoding y_n."""
+    from clusteraut import cli, cluster
+
+    clear_reply_cache()
+    argv = ["cluster", "--a", "2", "--b", "2", "--n", "9"]
+    want = {fmt: run_cli(capsys, *argv, "--format", fmt) for fmt in ("text", "json")}
+    assert want["text"][1].startswith("y9 = ") and want["json"][0] == 0
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a held reply was computed again")
+
+    monkeypatch.setattr(cluster, "cluster_var", fail)
+    for name in ("descending_keys", "print_poly", "surf", "json"):
+        monkeypatch.setattr(cli, name, fail)
+    for fmt, reply in want.items():
+        assert run_cli(capsys, *argv, "--format", fmt) == reply
+
+
+def test_cluster_refusals_do_not_depend_on_held_replies(capsys):
+    """The term budget is part of the memo's key and refusals are not held:
+    a cluster request refused under a small budget is refused again, with
+    the same text, after its default-budget answer is held, and the other
+    way round."""
+    argv = ["cluster", "--a", "3", "--b", "2", "--n", "8"]
+    for fmt in ("text", "json"):
+        small = [*argv, "--format", fmt, "--max-terms", "50"]
+        clear_walk_cache()
+        clear_reply_cache()
+        refused = run_cli(capsys, *small)
+        assert refused == (3, "", "budget exceeded: product has 95 terms, budget 50\n")
+        answered = run_cli(capsys, *argv, "--format", fmt)
+        assert answered[0] == 0
+        for _ in range(2):
+            assert run_cli(capsys, *small) == refused
+            assert run_cli(capsys, *argv, "--format", fmt) == answered
+
+
+def test_reply_memo_stays_within_its_bound(capsys, monkeypatch):
+    """The held replies' values hold at most WALK_CACHE_TERMS terms, the
+    least recently used reply goes first, and a reply whose value alone
+    passes the bound is not held."""
+    from clusteraut import cli, cluster
+
+    def ask(n):
+        assert run_cli(capsys, "cluster", "--a", "1", "--b", "1", "--n", str(n))[0] == 0
+        memo = cli._replies
+        assert memo.terms == sum(size for _, size in memo.replies.values())
+        assert memo.terms <= cluster.WALK_CACHE_TERMS
+        return [key[1] for key in memo.replies]  # n, least recently used first
+
+    monkeypatch.setattr(cluster, "WALK_CACHE_TERMS", 7)
+    clear_reply_cache()
+    ask(3)  # y3 has 2 terms, y4 3, y5 2 and y1 1
+    ask(4)
+    assert ask(5) == [3, 4, 5]
+    assert ask(3) == [4, 5, 3]  # a repeat is the most recently used
+    assert ask(1) == [5, 3, 1]  # y4 goes to make room for y1
+    monkeypatch.setattr(cluster, "WALK_CACHE_TERMS", 2)
+    clear_reply_cache()
+    assert ask(4) == []
+    assert ask(3) == [3]
+
+
+def test_threads_share_the_reply_memo_safely(monkeypatch):
+    """Threads that hold, read and evict replies at once keep the count of
+    held terms exact and within the bound."""
+    from clusteraut import cli, cluster
+
+    monkeypatch.setattr(cluster, "WALK_CACHE_TERMS", 50)
+    memo = cli._Replies()
+    errors = []
+
+    def worker(seed):
+        r = random.Random(seed)
+        try:
+            for _ in range(2000):
+                key = r.randrange(40)
+                if r.random() < 0.5:
+                    memo.put(key, f"reply {key}", key % 7 + 1)
+                else:
+                    assert memo.get(key) in (None, f"reply {key}")
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert memo.terms == sum(size for _, size in memo.replies.values()) <= 50
 
 
 WORD_ATOMS = st.sampled_from([
@@ -479,8 +658,9 @@ WORD_ATOMS = st.sampled_from([
     "r^100000000000", "sp(-99999999999)", "m(7777777777,3)",
 ])
 MALFORMED = st.sampled_from(
-    ["s4", "m(1)", "m(1,", "sp", "sp(x)", "r^", "q", "(", "m(a,b)", "s2s3", "-s2", "--a"]
-) | st.text("s23hmpr()^,-0189id ", max_size=6)
+    ["s4", "m(1)", "m(1,", "sp", "sp(x)", "r^", "q", "(", "m(a,b)", "s2s3", "-s2", "--a",
+     "sp(\u00b2)", "r^\u00b2", "sp(\u0663)", "m(\u0663,1)"]
+) | st.text("s23hmpr()^,-0189id \u00b2\u0663", max_size=6)
 # half of the words are well formed, so that most commands get to compute
 word_texts = (
     st.lists(WORD_ATOMS, max_size=6) | st.lists(WORD_ATOMS | MALFORMED, max_size=5)
@@ -614,7 +794,8 @@ def test_word_fold_output_bytes_are_pinned(capsys):
 
 
 def clear_caches():
-    """Empty the generator, group and walk caches, as in a fresh process."""
+    """Empty the generator, group and walk caches and the reply memo, as in
+    a fresh process."""
     from clusteraut import autgroup, surface
 
     caches = (
@@ -624,6 +805,7 @@ def clear_caches():
     for fn in caches:
         fn.cache_clear()
     clear_walk_cache()
+    clear_reply_cache()
 
 
 def test_budget_refusals_do_not_depend_on_history(capsys):

@@ -725,6 +725,26 @@ def test_paper_literal_words_take_the_letter_path():
     assert not equal(group, literal)
 
 
+def test_literal_words_at_equal_params_are_folded(monkeypatch):
+    """At a = b the literal sigma3 is the corrected one, so a literal word is
+    folded like any word, and its map is the one its letters compose to."""
+    rng = random.Random(20)
+
+    def no_letters(*args):
+        raise AssertionError("composed one letter at a time")
+
+    monkeypatch.setattr(surface, "compose_letters", no_letters)
+    for a in (1, 2, 3):
+        params = Params(a, a)
+        words = [[("s3",)], [("s2",), ("s3",)], [("r", -2)], [("sp", 3)], [("m", 1, 0), ("s3",)]]
+        words += [random_letters(rng, params, 4) for _ in range(6)]
+        for word in words:
+            want = outcome(lambda p, w: compose_letters(p, w, True), params, word)
+            assert outcome(lambda p, w: compose_word(p, w, True), params, word) == want
+    with pytest.raises(AssertionError, match="one letter at a time"):
+        compose_word(Params(2, 3), [("s3",)], True)
+
+
 def test_surface_table_stays_within_its_bound(monkeypatch):
     bound = 250
     params = Params(2, 2)

@@ -84,6 +84,11 @@ def test_poly_parse_errors_with_positions():
         ("y1 +\n* y2", 2, 0),
         ("y1 ^", 1, 4),
         ("t*y1", 1, 0),  # t needs a surrogate ring
+        # only 0-9 are digits, not superscripts or other scripts' digits
+        ("y1^\u00b2", 1, 3),
+        ("\u0663*y1", 1, 0),
+        ("y1 + y\u0663", 1, 5),
+        ("y1\u00b2", 1, 2),
     ]
     for text, line, col in cases:
         with pytest.raises(ParseError) as info:
@@ -119,7 +124,9 @@ def test_word_rotation_shorthand():
 
 
 def test_word_parse_errors():
-    for text in ("s4", "m(1)", "sp", "m(2,3", "q", "m(a,b)"):
+    superscript_two, arabic_three = "\u00b2", "\u0663"
+    for text in ("s4", "m(1)", "sp", "m(2,3", "q", "m(a,b)", f"sp({superscript_two})",
+                 f"r^{superscript_two}", f"sp({arabic_three})", f"m(1,{arabic_three})"):
         with pytest.raises(ParseError):
             parse_word(text)
 
