@@ -504,6 +504,6 @@ def normal_form_terms(tp: dict, a: int, b: int, m: int = 0, max_terms: int = 0) 
 # The kernel calls its own functions through these private names, so that a
 # wrapper installed on a public name from outside (perfbench --trace) counts
 # only the calls made from outside the kernel.  They go together with those
-# wrappers when the engine counts its own operations (ROADMAP item 5).
+# wrappers once the engine counts its own operations.
 _mul_terms = mul_terms
 _normal_form_terms = normal_form_terms

@@ -436,28 +436,31 @@ SEED = (0x6A09E667F3BCC90, 0x3C6EF372FE94F82)
 _REACH = 64
 
 
+def _point_walk(a: int, b: int, seed: tuple, hi: int) -> dict:
+    """{n: y_n at the point} for n = 1 .. hi, from y1, y2 = seed by the rule
+    of (a, b); the walk stops where it would divide by zero."""
+    p = PRIME
+    values = dict(zip((1, 2), seed))
+    for n in range(2, hi):  # y_(n+1) = (y_n^c + 1) / y_(n-1)
+        if not values[n - 1]:
+            break
+        c = a if n % 2 == 0 else b
+        values[n + 1] = (pow(values[n], c, p) + 1) * pow(values[n - 1], -1, p) % p
+    return values
+
+
 @cache_per_budget(64)
 def _reading(params: Params) -> tuple:
     """What ``identify`` needs at one pair: the group structure, y1..y4 at the
     point, and {y_n at the point: n} over one period in the finite cases and
-    over -_REACH .. _REACH otherwise.  Zero values are left out of the
-    index, and the walk stops where it would divide by one."""
-    p = PRIME
+    over -_REACH .. _REACH otherwise, zero values left out.  Below the seed
+    y_n is y_(3-n) of the walk at (b, a) from the swapped seed, as in
+    ``cluster.cluster_var``."""
     period = expected_period(params)
-    lo, hi = (1, period) if period else (-_REACH, _REACH)
-    values = dict(zip((1, 2), SEED))
-
-    def power(n: int) -> int:  # y_n^c + 1, with c the exponent of middle index n
-        return pow(values[n], params.a if n % 2 == 0 else params.b, p) + 1
-
-    for n in range(2, hi):  # y_(n+1) = (y_n^c + 1) / y_(n-1)
-        if not values[n - 1]:
-            break
-        values[n + 1] = power(n) * pow(values[n - 1], -1, p) % p
-    for n in range(1, lo, -1):  # y_(n-1) = (y_n^c + 1) / y_(n+1)
-        if not values[n + 1]:
-            break
-        values[n - 1] = power(n) * pow(values[n + 1], -1, p) % p
+    values = _point_walk(params.a, params.b, SEED, period or _REACH)
+    if not period:
+        below = _point_walk(params.b, params.a, SEED[::-1], 3 + _REACH)
+        values.update((3 - m, v) for m, v in below.items() if m >= 3)
     point = tuple(values[n] for n in (1, 2, 3, 4))
     return structure_of(params), point, {v: n for n, v in values.items() if v}
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
-from collections import OrderedDict
 
 from . import autgroup, cluster
 from . import surface as surf
@@ -441,70 +439,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-class _Replies:
-    """The stdout of answered ``cluster`` requests, keyed by (params, n, term
-    budget, format), least recently used first, holding at most
-    ``cluster.WALK_CACHE_TERMS`` terms: the sum of ``num_terms`` of the
-    values behind the held replies.
-
-    Only replies that exited 0 are held, and the budget is part of the key,
-    so a request refused cold is refused warm too.  The lock makes each
-    lookup and insert atomic, as in the walk cache.
-    """
-
-    def __init__(self):
-        self.replies: OrderedDict = OrderedDict()  # key -> (reply, terms)
-        self.terms = 0
-        self.lock = threading.Lock()
-
-    def clear(self) -> None:
-        with self.lock:
-            self.replies.clear()
-            self.terms = 0
-
-    def get(self, key) -> str | None:
-        with self.lock:
-            if key not in self.replies:
-                return None
-            self.replies.move_to_end(key)
-            return self.replies[key][0]
-
-    def put(self, key, reply: str, size: int) -> None:
-        """Hold ``reply`` unless its value alone passes the bound, evicting
-        the least recently used replies to make room."""
-        if size > cluster.WALK_CACHE_TERMS:
-            return
-        with self.lock:
-            if key in self.replies:
-                return
-            while self.terms + size > cluster.WALK_CACHE_TERMS:
-                _, (_, old) = self.replies.popitem(last=False)
-                self.terms -= old
-            self.replies[key] = (reply, size)
-            self.terms += size
-
-
-_replies = _Replies()
-
-
-def clear_reply_cache() -> None:
-    """Forget every held ``cluster`` reply."""
-    _replies.clear()
-
-
 def _run(args) -> tuple[int, str]:
-    """Run the command and render what it prints.  A ``cluster`` reply is
-    printed from the memo when the same request has been answered before."""
+    """Run the command and render what it prints.  The stdout of a
+    ``cluster`` request that exited 0 is held in the walk cache, sized by
+    the terms of its y_n, and printed from there when the same request comes
+    again; refusals are not held, and the budget is part of the key."""
     key = None
     if args.command == "cluster":
-        key = (_params(args), args.n, args.max_terms, args.format)
-        reply = _replies.get(key)
+        key = ("reply", _params(args), args.n, args.max_terms, args.format)
+        reply = cluster._walks.get(key)
         if reply is not None:
             return 0, reply
     code, payload, text = args.func(args)
     reply = json.dumps(payload, sort_keys=True) if args.format == "json" else text
     if key is not None and code == 0:
-        _replies.put(key, reply, payload["num_terms"])
+        cluster._walks.put(key, reply, payload["num_terms"])
     return code, reply
 
 

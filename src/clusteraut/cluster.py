@@ -10,6 +10,11 @@ recurrence is performed exactly and a failure (which the Laurent phenomenon
 rules out) would surface as LaurentViolation.  The family is periodic exactly
 when a*b <= 3, with period 5, 6 or 8.
 
+Every y_n comes from one walk upward from the seed: y_n for n <= 0 is
+y_(3-n) at (b, a) with y1 and y2 swapped (proof in ``cluster_var``).  The
+walks, and every value derived from them, live in one cache keyed by term
+budget and bounded by ``WALK_CACHE_TERMS`` terms.
+
 The same y_n are elements of the surface algebra of ``surface``:
 ``surface_var`` gives each as its normal form in y1, y2, y3, y4, read from
 the walk at (b, a), which is the Laurent expansion in the seed (y2, y3).
@@ -67,81 +72,99 @@ def _step_up(params: Params, prev: LaurentPoly, cur: LaurentPoly, middle: int):
         raise LaurentViolation(f"y_{middle + 1} is not Laurent: {exc}") from exc
 
 
-#: Bound on the walk cache: the number of terms held, summed over every cached
-#: value of every walk.  It holds the working set of a process that walks a
-#: few dozen (a, b, direction) pairs to moderate n (13.5k terms for the
-#: cluster-walk benchmark's 20 walks) and the surface variables of a few pairs.
+#: Bound on the walk cache: the number of terms held, summed over every
+#: entry.  It holds the working set of a process that walks a few dozen pairs
+#: to moderate n, the surface variables of a few pairs and the replies of
+#: repeated ``cluster`` requests: all 6,060 requests of the cluster-walk
+#: benchmark (seed 1) hold 10 walks with 6,919 terms and 444 replies whose
+#: values have 12,930 terms.
 WALK_CACHE_TERMS = 1 << 15
 
 
 class _Prefix:
-    """The first values of one walk, computed under one term budget."""
+    """The first values y1, y2, ... of one walk, computed under one budget."""
 
-    __slots__ = ("values", "terms", "exps")
+    __slots__ = ("values", "exps")
 
     def __init__(self):
         self.values: list = []
-        self.terms = 0
         self.exps: dict = {}  # exponent tuples of the cached values, interned
 
 
 class _WalkCache:
-    """Prefixes of walks keyed by (params, direction, term budget), and the
-    surface variables, each alone under (params, "surface", n, term budget),
-    least recently used first, holding at most WALK_CACHE_TERMS terms in
-    total.
+    """Values derived from the walks, least recently used first, holding at
+    most WALK_CACHE_TERMS terms in total.  Every entry is [value, size], size
+    its term count:
 
-    The budget is part of the key because a step that fits one budget can
-    raise BudgetExceeded under a smaller one; a prefix holds only steps that
-    succeeded under its own budget, so a cached walk raises exactly where a
-    cold one does.  The lock makes each lookup and append atomic, so walks in
-    several threads can share the cache; steps are computed outside it.
+    - the prefix of the walk at one pair, under (params, term budget);
+    - a surface variable, under (params, "surface", n, term budget);
+    - the stdout of a ``cluster`` request that exited 0, which ``cli`` holds
+      under ("reply", params, n, term budget, format), sized by its y_n.
+
+    The budget is part of every key because a step that fits one budget can
+    raise BudgetExceeded under a smaller one; only values that succeeded
+    under their own budget are held, so a cached answer or refusal is the one
+    a cold walk gives.  The lock makes each lookup and insert atomic, so
+    threads can share the cache; values are computed outside it.
     """
 
     def __init__(self):
-        self.walks: OrderedDict = OrderedDict()
+        self.entries: OrderedDict = OrderedDict()  # key -> [value, size]
         self.terms = 0
         self.lock = threading.Lock()
 
     def clear(self) -> None:
         with self.lock:
-            self.walks.clear()
+            self.entries.clear()
             self.terms = 0
 
     def _make_room(self, size: int) -> None:
-        while self.walks and self.terms + size > WALK_CACHE_TERMS:
-            _, old = self.walks.popitem(last=False)
-            self.terms -= old.terms
+        while self.entries and self.terms + size > WALK_CACHE_TERMS:
+            _, (_, old) = self.entries.popitem(last=False)
+            self.terms -= old
 
-    def prefix(self, key) -> list:
-        """The cached values of the walk ``key``."""
+    def get(self, key):
+        """The value held under ``key``, now the most recently used, or None."""
         with self.lock:
-            if key not in self.walks:
-                return []
-            self.walks.move_to_end(key)
-            return self.walks[key].values
+            entry = self.entries.get(key)
+            if entry is None:
+                return None
+            self.entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key, value, size: int) -> None:
+        """Hold ``value`` under ``key``, evicting the least recently used
+        entries to make room, unless the key is held or the value alone
+        passes the bound."""
+        with self.lock:
+            if key in self.entries or size > WALK_CACHE_TERMS:
+                return
+            self._make_room(size)
+            self.entries[key] = [value, size]
+            self.terms += size
 
     def extend(self, key, index: int, value: LaurentPoly) -> LaurentPoly:
         """Append ``value`` as entry ``index`` of walk ``key`` (0 starts one) if
         it continues the cached prefix and fits the bound; return the value."""
         size = value.num_terms
         with self.lock:
-            entry = self.walks.get(key) or (_Prefix() if index == 0 else None)
+            entry = self.entries.get(key) or ([_Prefix(), 0] if index == 0 else None)
             if (
                 entry is None
-                or len(entry.values) != index
-                or entry.terms + size > WALK_CACHE_TERMS
+                or len(entry[0].values) != index
+                or entry[1] + size > WALK_CACHE_TERMS
             ):
                 return value
-            self.walks[key] = entry
-            self.walks.move_to_end(key)
-            self._make_room(size)  # evicts only other walks: this one fits alone
-            intern = entry.exps.setdefault
+            self.entries[key] = entry
+            self.entries.move_to_end(key)
+            self._make_room(size)  # evicts only other entries: this one fits alone
+            prefix = entry[0]
+            intern = prefix.exps.setdefault
             value = LaurentPoly(
                 value.ring, {intern(e, e): c for e, c in value.terms()}
             )
-            entry.values.append(value)
-            entry.terms += size
+            prefix.values.append(value)
+            entry[1] += size
             self.terms += size
             return value
 
@@ -150,58 +173,70 @@ _walks = _WalkCache()
 
 
 def clear_walk_cache() -> None:
-    """Forget every cached walk."""
+    """Forget every cached walk, surface variable and ``cluster`` reply."""
     _walks.clear()
 
 
-def cluster_walk(params: Params, direction: int = 1) -> Iterator[ClusterVar]:
-    """Yield y1, y2, y3, ... (direction=+1) or y2, y1, y0, ... (direction=-1).
+def cluster_walk(params: Params) -> Iterator[ClusterVar]:
+    """Yield y1, y2, y3, ...
 
     Values come from the walk cache where it has them; the others are
     computed from the two before and appended to it.  Each step reads the
     term budget in effect when it runs.
     """
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    seeds = (Y1, Y2) if direction == 1 else (Y2, Y1)
-    n = 1 if direction == 1 else 2
     prev = cur = None
-    for index in count():
-        key = (params, direction, current_max_terms())
-        values = _walks.prefix(key)
-        if index < len(values):
-            value = values[index]
+    for n in count(1):
+        key = (params, current_max_terms())
+        prefix = _walks.get(key)
+        if prefix is not None and n <= len(prefix.values):
+            value = prefix.values[n - 1]
         else:
-            step = seeds[index] if index < 2 else _step_up(params, prev, cur, n - direction)
-            value = _walks.extend(key, index, step)
+            step = (Y1, Y2)[n - 1] if n <= 2 else _step_up(params, prev, cur, n - 1)
+            value = _walks.extend(key, n - 1, step)
         yield ClusterVar(params, n, value)
         prev, cur = cur, value
-        n += direction
+
+
+def _walk_value(params: Params, n: int) -> LaurentPoly:
+    """y_n for n >= 1, read from the walk; in the finite types n is first
+    moved by whole periods into [p + 2, 2p + 1] (see ``cluster_var``)."""
+    p = expected_period(params)
+    if p is not None and n > 2 * p + 1:
+        n -= (n - p - 2) // p * p
+    for var in cluster_walk(params):
+        if var.n == n:
+            return var.value
 
 
 def cluster_var(params: Params, n: int) -> ClusterVar:
     """The cluster variable y_n, for any integer n.
 
-    Walks from the seed (y1, y2) through the walk cache, computing only the
-    steps the cache lacks; a cold walk's cost grows with |n| and the active
-    term budget applies to every step.  In the finite types the values have
-    period p = ``expected_period`` (Fomin and Zelevinsky, "Cluster algebras
-    II: Finite type classification", Invent. Math. 2003), and a walk repeats
-    its steps exactly, dict order included, once its two seeds come back.
-    So n is moved by whole periods into the window of indices just past one
-    full period, [p + 2, 2p + 1] (or [2 - 2p, 1 - p] below the seed): the
-    shorter walk still takes every step of a period and so refuses under a
-    tight budget exactly where the long one would.
+    Every y_n comes from a walk upward from the seed (y1, y2), through the
+    walk cache, computing only the steps the cache lacks; a cold walk's cost
+    grows with |n| and the active term budget applies to every step.
+
+    For n <= 0, y_n is y_(3-n) of the walk at (b, a) with y1 and y2 swapped
+    (Lee, Li and Zelevinsky, "Greedy elements in rank 2 cluster algebras",
+    Selecta Math. 2014).  Proof: put z_m = y_(3-m) with y1 and y2 swapped.
+    Then z_(m-1) * z_(m+1) = z_m^c + 1, with c = a when 3 - m is even and b
+    when it is odd, which is the rule of (b, a) at m; and z_1 = y1, z_2 = y2
+    (y2 and y1 swapped).  The dual walk takes the steps of a downward walk,
+    renamed, so it refuses under a budget exactly where that walk would.
+
+    In the finite types the values have period p = ``expected_period``
+    (Fomin and Zelevinsky, "Cluster algebras II: Finite type
+    classification", Invent. Math. 2003), and a walk repeats its steps
+    exactly, dict order included, once its two seeds come back.  So an index
+    past 2p + 1 is moved by whole periods into [p + 2, 2p + 1], just past one
+    full period: the shorter walk still takes every step of a period and so
+    refuses under a tight budget exactly where the long one would.  For
+    n <= 0 this applies to the index 3 - n of the dual walk.
     """
-    p = expected_period(params)
-    target = n
-    if p is not None and n > 2 * p + 1:
-        target = n - (n - p - 2) // p * p
-    elif p is not None and n < 2 - 2 * p:
-        target = n + (1 - p - n) // p * p
-    for var in cluster_walk(params, 1 if n >= 1 else -1):
-        if var.n == target:
-            return var if target == n else ClusterVar(params, n, var.value)
+    if n >= 1:
+        return ClusterVar(params, n, _walk_value(params, n))
+    dual = _walk_value(Params(params.b, params.a), 3 - n)
+    swapped = {(e2, e1, e3, e4, k): c for (e1, e2, e3, e4, k), c in dual.terms()}
+    return ClusterVar(params, n, LaurentPoly(dual.ring, swapped))
 
 
 def _standard_terms(laurent, a: int, b: int, max_terms: int) -> dict:
@@ -264,12 +299,13 @@ def surface_var(params: Params, n: int) -> LaurentPoly:
     if 1 <= n <= 4:
         return (Y1, Y2, Y3, Y4)[n - 1]
     key = (params, "surface", n, current_max_terms())
-    cached = _walks.prefix(key)
-    if cached:
-        return cached[0]
+    held = _walks.get(key)
+    if held is not None:
+        return held
     laurent = cluster_var(Params(params.b, params.a), n - 1).value
-    terms = _standard_terms(laurent.terms(), params.a, params.b, key[3])
-    return _walks.extend(key, 0, LaurentPoly(ZZ, terms))
+    value = LaurentPoly(ZZ, _standard_terms(laurent.terms(), params.a, params.b, key[3]))
+    _walks.put(key, value, value.num_terms)
+    return value
 
 
 def check_relation(params: Params, n: int) -> bool:
@@ -296,7 +332,7 @@ def detect_period(params: Params, n_max: int = 50) -> int | None:
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    walk = cluster_walk(params, 1)
+    walk = cluster_walk(params)
     first, second = next(walk).value, next(walk).value
     prev = second
     try:

@@ -63,7 +63,8 @@ def test_criterion_02_laurent_phenomenon():
         params = Params(a, b)
         # Walking upward, cluster_var(n+1) walks the same chain as
         # cluster_var(n), so the first budget failure blocks the rest of
-        # the direction deterministically; same for the downward walk.
+        # the direction deterministically; same for n <= 0, which are read
+        # from the walk up at (b, a).
         for direction in (range(1, 21), range(0, -21, -1)):
             for n in direction:
                 try:

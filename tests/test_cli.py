@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clusteraut.cli import clear_reply_cache, main
+from clusteraut.cli import main
 from clusteraut.cluster import clear_walk_cache
 from clusteraut.textio import print_poly
 
@@ -523,7 +523,6 @@ def test_cluster_and_period_argv_end_cleanly(command, a, b, n, n_max, max_terms)
     if result[0] == 0:
         json.loads(result[1])
         clear_walk_cache()
-        clear_reply_cache()
         assert call_main(argv) == result
 
 
@@ -541,7 +540,6 @@ def test_cluster_replies_repeat_byte_for_byte():
     in both formats, prints the same stdout and stderr with the same exit
     code each time it comes up in one process, the first time included."""
     clear_walk_cache()
-    clear_reply_cache()
     replies = {}
     for argv in benchmark_argv("cluster-walk", 1, 600):
         assert argv[-2:] == ["--format", "json"]
@@ -557,7 +555,7 @@ def test_repeated_cluster_request_computes_nothing(capsys, monkeypatch):
     or encoding y_n."""
     from clusteraut import cli, cluster
 
-    clear_reply_cache()
+    clear_walk_cache()
     argv = ["cluster", "--a", "2", "--b", "2", "--n", "9"]
     want = {fmt: run_cli(capsys, *argv, "--format", fmt) for fmt in ("text", "json")}
     assert want["text"][1].startswith("y9 = ") and want["json"][0] == 0
@@ -581,7 +579,6 @@ def test_cluster_refusals_do_not_depend_on_held_replies(capsys):
     for fmt in ("text", "json"):
         small = [*argv, "--format", fmt, "--max-terms", "50"]
         clear_walk_cache()
-        clear_reply_cache()
         refused = run_cli(capsys, *small)
         assert refused == (3, "", "budget exceeded: product has 95 terms, budget 50\n")
         answered = run_cli(capsys, *argv, "--format", fmt)
@@ -591,39 +588,62 @@ def test_cluster_refusals_do_not_depend_on_held_replies(capsys):
             assert run_cli(capsys, *argv, "--format", fmt) == answered
 
 
+def held_kinds():
+    """The walk cache's entries, least recently used first, each as its kind
+    and what it holds; the count of held terms is checked on the way."""
+    from clusteraut import cluster
+
+    cache = cluster._walks
+    assert cache.terms == sum(size for _, size in cache.entries.values())
+    assert cache.terms <= cluster.WALK_CACHE_TERMS
+    kinds = []
+    for key in cache.entries:
+        if key[0] == "reply":
+            kinds.append(("reply", key[1].a, key[1].b, key[2]))
+        elif key[1] == "surface":
+            kinds.append(("surface", key[0].a, key[0].b, key[2]))
+        else:
+            kinds.append(("walk", key[0].a, key[0].b))
+    return kinds
+
+
 def test_reply_memo_stays_within_its_bound(capsys, monkeypatch):
-    """The held replies' values hold at most WALK_CACHE_TERMS terms, the
-    least recently used reply goes first, and a reply whose value alone
-    passes the bound is not held."""
-    from clusteraut import cli, cluster
+    """Walks, surface variables and held replies share one bound: the terms
+    held never pass WALK_CACHE_TERMS, the least recently used entry goes
+    first whatever its kind, and a reply whose value alone passes the bound
+    is not held."""
+    from clusteraut import cluster
+    from clusteraut.poly import Params
 
-    def ask(n):
-        assert run_cli(capsys, "cluster", "--a", "1", "--b", "1", "--n", str(n))[0] == 0
-        memo = cli._replies
-        assert memo.terms == sum(size for _, size in memo.replies.values())
-        assert memo.terms <= cluster.WALK_CACHE_TERMS
-        return [key[1] for key in memo.replies]  # n, least recently used first
+    def ask(a, b, n):
+        argv = ["cluster", "--a", str(a), "--b", str(b), "--n", str(n)]
+        assert run_cli(capsys, *argv)[0] == 0
+        return held_kinds()
 
-    monkeypatch.setattr(cluster, "WALK_CACHE_TERMS", 7)
-    clear_reply_cache()
-    ask(3)  # y3 has 2 terms, y4 3, y5 2 and y1 1
-    ask(4)
-    assert ask(5) == [3, 4, 5]
-    assert ask(3) == [4, 5, 3]  # a repeat is the most recently used
-    assert ask(1) == [5, 3, 1]  # y4 goes to make room for y1
+    walk, reply = ("walk", 1, 1), ("reply", 1, 1)
+    monkeypatch.setattr(cluster, "WALK_CACHE_TERMS", 12)
+    clear_walk_cache()
+    # y1..y4 at (1,1) have 1, 1, 2 and 3 terms
+    assert ask(1, 1, 3) == [walk, (*reply, 3)]
+    assert ask(1, 1, 4) == [(*reply, 3), walk, (*reply, 4)]  # 12 terms
+    cluster.surface_var(Params(1, 1), 5)  # from the walk's y4; 2 terms
+    assert held_kinds() == [(*reply, 4), walk, ("surface", 1, 1, 5)]
+    assert ask(1, 1, 3) == [("surface", 1, 1, 5), walk, (*reply, 3)]
+    # the walk at (2,1) evicts the surface value, then the walk at (1,1)
+    assert ask(2, 1, 3) == [(*reply, 3), ("walk", 2, 1), ("reply", 2, 1, 3)]
     monkeypatch.setattr(cluster, "WALK_CACHE_TERMS", 2)
-    clear_reply_cache()
-    assert ask(4) == []
-    assert ask(3) == [3]
+    clear_walk_cache()
+    assert ask(1, 1, 4) == [walk]  # y1, y2 held; y3 and the reply pass the bound
+    assert ask(1, 1, 3) == [(*reply, 3)]
 
 
 def test_threads_share_the_reply_memo_safely(monkeypatch):
-    """Threads that hold, read and evict replies at once keep the count of
+    """Threads that hold, read and evict entries at once keep the count of
     held terms exact and within the bound."""
-    from clusteraut import cli, cluster
+    from clusteraut import cluster
 
     monkeypatch.setattr(cluster, "WALK_CACHE_TERMS", 50)
-    memo = cli._Replies()
+    memo = cluster._WalkCache()
     errors = []
 
     def worker(seed):
@@ -650,7 +670,7 @@ def test_threads_share_the_reply_memo_safely(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert memo.terms == sum(size for _, size in memo.replies.values()) <= 50
+    assert memo.terms == sum(size for _, size in memo.entries.values()) <= 50
 
 
 WORD_ATOMS = st.sampled_from([
@@ -794,8 +814,8 @@ def test_word_fold_output_bytes_are_pinned(capsys):
 
 
 def clear_caches():
-    """Empty the generator, group and walk caches and the reply memo, as in
-    a fresh process."""
+    """Empty the generator, group and walk caches, the held replies
+    included, as in a fresh process."""
     from clusteraut import autgroup, surface
 
     caches = (
@@ -805,7 +825,6 @@ def clear_caches():
     for fn in caches:
         fn.cache_clear()
     clear_walk_cache()
-    clear_reply_cache()
 
 
 def test_budget_refusals_do_not_depend_on_history(capsys):

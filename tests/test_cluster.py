@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from clusteraut import _kernel as K
 from clusteraut import cluster
 from clusteraut.budget import current_max_terms, limit
 from clusteraut.cluster import (
@@ -197,7 +198,9 @@ def test_laurent_expansion_is_faithful():
 
 
 def uncached_var(params, n):
-    """y_n by the recurrence from the seed, without the walk cache."""
+    """y_n by the recurrence from the seed, without the walk cache: upward
+    for n >= 1 and downward for n <= 0, so the values below the seed are
+    checked against a walk that does not use the (b, a) symmetry."""
     if n == 1:
         return Y1
     direction = 1 if n >= 1 else -1
@@ -207,6 +210,11 @@ def uncached_var(params, n):
         prev, cur = cur, exact_div(cur ** c + LaurentPoly.one(), prev, params)
         m += direction
     return cur
+
+
+def swapped(terms):
+    """The terms with the exponents of y1 and y2 exchanged, in their order."""
+    return [((e2, e1, e3, e4, k), c) for (e1, e2, e3, e4, k), c in terms]
 
 
 def cached_var(params, n):
@@ -221,155 +229,15 @@ def outcome(compute, params, n):
         return f"budget: {exc}"
 
 
-def cached_values(params, direction):
+def as_dict(got):
+    """An outcome with its dict order forgotten."""
+    return got if isinstance(got, str) else dict(got)
+
+
+def cached_values(params):
     """The cached prefix of the walk under the current budget."""
-    entry = cluster._walks.walks.get((params, direction, current_max_terms()))
-    return [] if entry is None else entry.values
-
-
-@pytest.mark.parametrize("a,b", [(2, 2), (4, 1), (3, 2), (1, 1)])
-def test_walk_cache_matches_cold_walks(a, b):
-    # under this budget (3,2) reaches y-5 and y8 and refuses further out
-    params = Params(a, b)
-    with limit(2000):
-        clear_walk_cache()
-        warm = {n: outcome(cached_var, params, n) for n in range(-10, 13)}
-        for n, got in warm.items():
-            assert outcome(uncached_var, params, n) == got, n
-            clear_walk_cache()
-            assert outcome(cached_var, params, n) == got, n
-    if (a, b) == (3, 2):
-        assert isinstance(warm[9], str) and isinstance(warm[-6], str)
-        assert not isinstance(warm[8], str) and not isinstance(warm[-5], str)
-
-
-def test_walk_cache_is_keyed_by_budget():
-    params = Params(3, 3)
-    clear_walk_cache()
-    # y9 at (3,3) exceeds the default budget, so y8 is as far as the cache
-    # can hold; y6..y8 each exceed 50 terms
-    assert cluster_var(params, 8).value.num_terms == 4061
-    with limit(50):
-        with pytest.raises(BudgetExceeded):
-            cluster_var(params, 15)
-        with pytest.raises(BudgetExceeded):
-            cluster_var(params, 7)
-        assert detect_period(params, n_max=30) is None
-    assert cluster_var(params, 8).value.num_terms == 4061
-    # a walk started under one budget runs each later step under the
-    # budget in effect when that step runs
-    walk = cluster_walk(params, 1)
-    next(walk)
-    with limit(50), pytest.raises(BudgetExceeded):
-        for var in walk:
-            if var.n == 8:
-                break
-
-
-def test_walk_cache_stays_within_its_bound(monkeypatch):
-    params = Params(2, 2)
-    cold = [uncached_var(params, n) for n in range(1, 17)]
-    bound = 250
-    monkeypatch.setattr(cluster, "WALK_CACHE_TERMS", bound)
-    clear_walk_cache()
-    walks = cluster._walks
-    for n in range(1, 17):
-        # the walk outgrows the bound at y13 and goes on uncached
-        assert cluster_var(params, n).value == cold[n - 1]
-        entries = walks.walks.values()
-        assert walks.terms == sum(e.terms for e in entries) <= bound
-        assert all(e.terms == sum(v.num_terms for v in e.values) for e in entries)
-    assert len(cached_values(params, 1)) == 12
-    # least recently used whole walks are evicted first
-    clear_walk_cache()
-    for a, b in ((1, 1), (2, 1), (1, 2)):
-        cluster_var(Params(a, b), 8)
-    cluster_var(Params(1, 1), 3)
-    # y1..y12 at (2,2) hold 232 terms: room is made by evicting (2,1), then (1,2)
-    cluster_var(params, 12)
-    assert [key[0] for key in walks.walks] == [Params(1, 1), params]
-    assert walks.terms == sum(e.terms for e in walks.walks.values()) <= bound
-
-
-def test_budget_refusal_keeps_the_cached_prefix():
-    params = Params(3, 2)
-    clear_walk_cache()
-    with limit(2000):
-        with pytest.raises(BudgetExceeded) as first:
-            cluster_var(params, 12)
-        prefix = list(cached_values(params, 1))
-        assert len(prefix) == 8
-        with pytest.raises(BudgetExceeded) as again:
-            cluster_var(params, 12)
-        assert str(again.value) == str(first.value)
-        assert cached_values(params, 1) == prefix
-        for n, value in enumerate(prefix, start=1):
-            assert value == uncached_var(params, n)
-
-
-def test_interleaved_walks_share_one_prefix():
-    params = Params(4, 1)
-    clear_walk_cache()
-    first, second = cluster_walk(params, -1), cluster_walk(params, -1)
-    for _ in range(12):
-        x, y = next(first), next(second)
-        assert x.n == y.n and list(x.value.terms()) == list(y.value.terms())
-    assert list(cluster._walks.walks) == [(params, -1, current_max_terms())]
-    values = cached_values(params, -1)
-    assert len(values) == 12
-    assert cluster._walks.terms == sum(v.num_terms for v in values)
-
-
-def test_walk_outlives_the_eviction_of_its_prefix():
-    params = Params(2, 2)
-    clear_walk_cache()
-    walk = cluster_walk(params, 1)
-    values = [next(walk).value for _ in range(6)]
-    clear_walk_cache()
-    values += [next(walk).value for _ in range(6)]
-    # the steps after the eviction are not cached out of place
-    for n in range(1, 13):
-        assert cluster_var(params, n).value == values[n - 1] == uncached_var(params, n)
-
-
-def test_threads_share_the_walk_cache_safely():
-    # Frequent clears make the threads compute and append the same steps at
-    # the same time; without the cache's lock this corrupts the prefixes.
-    params = Params(2, 2)
-    reference = [uncached_var(params, n) for n in range(1, 11)]
-    errors = []
-
-    def worker(seed):
-        rng = random.Random(seed)
-        try:
-            for _ in range(300):
-                if rng.random() < 0.3:
-                    clear_walk_cache()
-                n = rng.randrange(1, 11)
-                assert cluster_var(params, n).value == reference[n - 1]
-        except Exception as exc:  # reported by the main thread
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        clear_walk_cache()
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    walks = cluster._walks
-    assert walks.terms == sum(e.terms for e in walks.walks.values())
-    for n, value in enumerate(cached_values(params, 1), start=1):
-        assert value == reference[n - 1]
-
-
-# -- finite types: whole periods --------------------------------------------
+    entry = cluster._walks.entries.get((params, current_max_terms()))
+    return [] if entry is None else entry[0].values
 
 
 def cold_outcomes(params, direction, steps):
@@ -390,14 +258,226 @@ def cold_outcomes(params, direction, steps):
     return out
 
 
+def dual_outcomes(params, steps):
+    """{n: outcome} for n = 0, -1, ..., 3 - steps read as the engine reads
+    them: index 3 - n of the cold walk up at (b, a), y1 and y2 swapped."""
+    up = cold_outcomes(Params(params.b, params.a), 1, steps)
+    return {
+        3 - m: got if isinstance(got, str) else swapped(got)
+        for m, got in up.items()
+        if m >= 3
+    }
+
+
+GRID_BUDGETS = [*range(1, 13), 20, 50, 100, 200, 500, 1000, 2000, 5000]
+
+
+@pytest.mark.parametrize("a,b", [(a, b) for a in range(1, 7) for b in range(1, 7)])
+def test_walk_cache_matches_cold_walks(a, b):
+    """At every budget of the grid, y_n for n in -20..20, read warm, is the
+    cold walk's: the upward walk's for n >= 1; for n <= 0 the downward
+    recurrence's value or refusal text, in the dict order of the dual walk
+    at (b, a).  So the first refused index agrees in both directions."""
+    params = Params(a, b)
+    for max_terms in GRID_BUDGETS:
+        with limit(max_terms):
+            up, dual = cold_outcomes(params, 1, 20), dual_outcomes(params, 23)
+            down = cold_outcomes(params, -1, 23)
+            clear_walk_cache()
+            for n in sorted(range(-20, 21), key=abs):
+                got = outcome(cached_var, params, n)
+                assert got == (up[n] if n >= 1 else dual[n]), (max_terms, n)
+                if n <= 0:
+                    assert as_dict(got) == as_dict(down[n]), (max_terms, n)
+    # under this budget (3,2) reaches y-5 and y8 and refuses further out;
+    # each n read cold gives what the warm cache gave
+    with limit(2000):
+        clear_walk_cache()
+        warm = {n: outcome(cached_var, params, n) for n in range(-10, 13)}
+        for n, got in warm.items():
+            assert as_dict(outcome(uncached_var, params, n)) == as_dict(got), n
+            clear_walk_cache()
+            assert outcome(cached_var, params, n) == got, n
+    if (a, b) == (3, 2):
+        assert isinstance(warm[9], str) and isinstance(warm[-6], str)
+        assert not isinstance(warm[8], str) and not isinstance(warm[-5], str)
+
+
+def test_one_walk_serves_both_signs(monkeypatch):
+    """y_n below the seed is read from the walk up at (b, a): after a cold
+    y_-22 at (2,2) the walk holds y25, and after y_-18 at (4,1) the walk at
+    (1,4) holds y21, so neither takes another division."""
+    cases = [((2, 2), -22, (2, 2), 25), ((4, 1), -18, (1, 4), 21)]
+    want = {
+        (pair, n): uncached_var(Params(*pair), n)
+        for below, n_below, above, n_above in cases
+        for pair, n in ((below, n_below), (above, n_above))
+    }
+    divisions = []
+    real = K.exact_div_terms
+
+    def counted(*args, **kwargs):
+        divisions.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(K, "exact_div_terms", counted)
+    for below, n, above, m in cases:
+        clear_walk_cache()
+        assert cluster_var(Params(*below), n).value == want[below, n]
+        assert divisions
+        divisions.clear()
+        assert cluster_var(Params(*above), m).value == want[above, m]
+        assert divisions == []
+
+
+def test_walk_cache_is_keyed_by_budget():
+    params = Params(3, 3)
+    clear_walk_cache()
+    # y9 at (3,3) exceeds the default budget, so y8 is as far as the cache
+    # can hold; y6..y8 each exceed 50 terms
+    assert cluster_var(params, 8).value.num_terms == 4061
+    with limit(50):
+        with pytest.raises(BudgetExceeded):
+            cluster_var(params, 15)
+        with pytest.raises(BudgetExceeded):
+            cluster_var(params, 7)
+        assert detect_period(params, n_max=30) is None
+    assert cluster_var(params, 8).value.num_terms == 4061
+    # a walk started under one budget runs each later step under the
+    # budget in effect when that step runs
+    walk = cluster_walk(params)
+    next(walk)
+    with limit(50), pytest.raises(BudgetExceeded):
+        for var in walk:
+            if var.n == 8:
+                break
+
+
+def check_cache_consistent():
+    walks = cluster._walks
+    assert walks.terms == sum(size for _, size in walks.entries.values())
+    assert walks.terms <= cluster.WALK_CACHE_TERMS
+    for key, (value, size) in walks.entries.items():
+        if isinstance(value, cluster._Prefix):
+            assert size == sum(v.num_terms for v in value.values)
+
+
+def test_walk_cache_stays_within_its_bound(monkeypatch):
+    params = Params(2, 2)
+    cold = [uncached_var(params, n) for n in range(1, 17)]
+    bound = 250
+    monkeypatch.setattr(cluster, "WALK_CACHE_TERMS", bound)
+    clear_walk_cache()
+    walks = cluster._walks
+    for n in range(1, 17):
+        # the walk outgrows the bound at y13 and goes on uncached
+        assert cluster_var(params, n).value == cold[n - 1]
+        check_cache_consistent()
+    assert len(cached_values(params)) == 12
+    # least recently used whole walks are evicted first
+    clear_walk_cache()
+    for a, b in ((1, 1), (2, 1), (1, 2)):
+        cluster_var(Params(a, b), 8)
+    cluster_var(Params(1, 1), 3)
+    # y1..y12 at (2,2) hold 232 terms: room is made by evicting (2,1), then (1,2)
+    cluster_var(params, 12)
+    assert [key[0] for key in walks.entries] == [Params(1, 1), params]
+    check_cache_consistent()
+
+
+def test_budget_refusal_keeps_the_cached_prefix():
+    params = Params(3, 2)
+    clear_walk_cache()
+    with limit(2000):
+        with pytest.raises(BudgetExceeded) as first:
+            cluster_var(params, 12)
+        prefix = list(cached_values(params))
+        assert len(prefix) == 8
+        with pytest.raises(BudgetExceeded) as again:
+            cluster_var(params, 12)
+        assert str(again.value) == str(first.value)
+        assert cached_values(params) == prefix
+        for n, value in enumerate(prefix, start=1):
+            assert value == uncached_var(params, n)
+
+
+def test_interleaved_walks_share_one_prefix():
+    params = Params(4, 1)
+    clear_walk_cache()
+    first, second = cluster_walk(params), cluster_walk(params)
+    for _ in range(12):
+        x, y = next(first), next(second)
+        assert x.n == y.n and list(x.value.terms()) == list(y.value.terms())
+    assert list(cluster._walks.entries) == [(params, current_max_terms())]
+    values = cached_values(params)
+    assert len(values) == 12
+    assert cluster._walks.terms == sum(v.num_terms for v in values)
+
+
+def test_walk_outlives_the_eviction_of_its_prefix():
+    params = Params(2, 2)
+    clear_walk_cache()
+    walk = cluster_walk(params)
+    values = [next(walk).value for _ in range(6)]
+    clear_walk_cache()
+    values += [next(walk).value for _ in range(6)]
+    # the steps after the eviction are not cached out of place
+    for n in range(1, 13):
+        assert cluster_var(params, n).value == values[n - 1] == uncached_var(params, n)
+
+
+def test_threads_share_the_walk_cache_safely():
+    # Frequent clears make the threads compute and append the same steps at
+    # the same time; without the cache's lock this corrupts the prefixes.
+    # Indices below the seed read the same walk, as (2,2) is its own dual.
+    params = Params(2, 2)
+    reference = {n: uncached_var(params, n) for n in range(-7, 11)}
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(300):
+                if rng.random() < 0.3:
+                    clear_walk_cache()
+                n = rng.randrange(-7, 11)
+                assert cluster_var(params, n).value == reference[n]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        clear_walk_cache()
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    check_cache_consistent()
+    for n, value in enumerate(cached_values(params), start=1):
+        assert value == reference[n]
+
+
+# -- finite types: whole periods --------------------------------------------
+
+
 @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3)])
 def test_finite_walks_move_by_whole_periods(a, b):
     # y_n is read at n moved by whole periods into one window past a full
     # period; value, dict order and refusal text are those of the cold walk
+    # (for n <= 0 the dual walk's order, and the downward walk's values)
     params = Params(a, b)
     for max_terms in list(range(1, 13)) + [current_max_terms()]:
         with limit(max_terms):
-            cold = {**cold_outcomes(params, 1, 43), **cold_outcomes(params, -1, 43)}
+            cold = {**cold_outcomes(params, 1, 43), **dual_outcomes(params, 43)}
+            down = cold_outcomes(params, -1, 43)
+            for n in range(-40, 1):
+                assert as_dict(cold[n]) == as_dict(down[n]), (max_terms, n)
             clear_walk_cache()
             for n in sorted(cold, key=abs):
                 assert outcome(cached_var, params, n) == cold[n], (max_terms, n)
@@ -419,7 +499,7 @@ def old_detect_period(params, n_max):
     """The period search that walks all n_max + 2 steps before comparing."""
     seen = []
     try:
-        for var in cluster_walk(params, 1):
+        for var in cluster_walk(params):
             seen.append(var.value)
             if len(seen) > n_max + 2:
                 break
@@ -446,7 +526,7 @@ def test_detect_period_stops_at_the_first_period():
     clear_walk_cache()
     assert detect_period(Params(1, 1), n_max=10**14) == 5
     # the walk stops at y7 = y2: nothing past it is computed
-    assert len(cached_values(Params(1, 1), 1)) == 7
+    assert len(cached_values(Params(1, 1))) == 7
 
 
 @pytest.mark.parametrize("check", ["y0", "y5", "y5-literal"])

@@ -555,17 +555,19 @@ def random_letters(rng, params, max_len):
 def surface_entries():
     """{(params, n): value} for every surface variable in the walk cache."""
     return {
-        (key[0], key[2]): prefix.values[0]
-        for key, prefix in cluster._walks.walks.items()
-        if key[1] == "surface"
+        (key[0], key[2]): value
+        for key, (value, _) in cluster._walks.entries.items()
+        if key[1:2] == ("surface",)
     }
 
 
 def check_cache_consistent():
     walks = cluster._walks
-    entries = walks.walks.values()
-    assert walks.terms == sum(e.terms for e in entries) <= cluster.WALK_CACHE_TERMS
-    assert all(e.terms == sum(v.num_terms for v in e.values) for e in entries)
+    entries = walks.entries.values()
+    assert walks.terms == sum(size for _, size in entries) <= cluster.WALK_CACHE_TERMS
+    for value, size in entries:
+        values = value.values if isinstance(value, cluster._Prefix) else [value]
+        assert size == sum(v.num_terms for v in values)
 
 
 def test_fold_matches_letters_on_short_words():
@@ -702,7 +704,7 @@ def test_surface_table_is_keyed_by_budget():
     with limit(200):
         f = compose_word(params, word)
         assert outcome(compose_word, params, word) == outcome(compose_letters, params, word)
-    budgets = {key[3] for key in cluster._walks.walks if key[1] == "surface"}
+    budgets = {key[3] for key in cluster._walks.entries if key[1:2] == ("surface",)}
     assert budgets == {20, 200, current_max_terms()}
     # the default budget's entries were kept through the refusals
     assert all(
@@ -751,17 +753,18 @@ def test_surface_table_stays_within_its_bound(monkeypatch):
     cold = {n: cluster_var(params, n).value for n in range(-12, 17)}
     monkeypatch.setattr(cluster, "WALK_CACHE_TERMS", bound)
     budget = current_max_terms()
-    # at (2,2) the walk down mirrors the walk up: y_(5-n) has y_n's size
-    for direction in (1, -1):
-        walk = (params, direction, budget)
+    # at (2,2) every surface value is read from the one walk up at (2,2):
+    # y_n and y_(5-n) both from its y_(n-1), so the two signs evict alike
+    walk = (params, budget)
+    for sign in (1, -1):
         clear_walk_cache()
         values = []
         for i in range(5, 17):
-            n = i if direction == 1 else 5 - i
+            n = i if sign == 1 else 5 - i
             assert laurent_expand(params, surface_var(params, n)) == cold[n]
             check_cache_consistent()
             values.append((params, "surface", n, budget))
-            keys = list(cluster._walks.walks)
+            keys = list(cluster._walks.entries)
             if i <= 11:
                 # y5..y11 (115 terms) fit beside the Laurent walk through y10
                 assert keys == values[:-1] + [walk, values[-1]]

@@ -201,6 +201,6 @@ def test_conversion_is_bounded_by_the_term_budget():
         with pytest.raises(BudgetExceeded):
             surface_var(params, 7)
     assert surface_var(params, 7).num_terms == 27
-    assert [key[2:] for key in cluster._walks.walks if key[1] == "surface"] == [
+    assert [key[2:] for key in cluster._walks.entries if key[1:2] == ("surface",)] == [
         (7, current_max_terms())
     ]

@@ -21,6 +21,10 @@ every group element is read from a word fold, so the group commands and
 The surface variables those maps are built from come from the Laurent walk,
 so building them substitutes nothing and rewrites nothing into normal form,
 and sigma2 and sigma3 are built in closed form, with no kernel product.
+
+``cluster_var`` reads y_n below the seed from the dual walk without calling
+itself again, so a traced run counts one ``cluster.cluster_var`` span per
+outside call.
 """
 import ast
 import json
@@ -284,3 +288,31 @@ print(sorted(calls.items()))
     assert _count_kernel_calls(names, body) == [
         "[('mul_terms', 0), ('pow_terms', 0), ('substitute_terms', 0)]"
     ]
+
+
+_TRACED_VAR = """
+import sys
+sys.path.insert(0, {perfbench!r})
+import clusteraut
+from clusteraut import cli, cluster
+from clusteraut.poly import Params
+from tracing import Tracer
+
+tracer = Tracer()
+tracer.install(clusteraut)
+cluster.cluster_var(Params(2, 2), -5)
+print(tracer.calls["cluster.cluster_var"])
+"""
+
+
+def test_trace_counts_one_span_per_cluster_var_call():
+    """y_n below the seed is read from the dual walk inside cluster_var, not
+    by a second call of it, so the traced per-layer count of
+    ``cluster.cluster_var`` stays one per outside call."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_VAR.format(perfbench=str(ROOT / "perfbench"))],
+        capture_output=True, text=True, timeout=120, cwd=ROOT, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1"]
