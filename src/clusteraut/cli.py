@@ -351,59 +351,44 @@ def _add_literal(p):
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="clusteraut",
-        description="Exact engine for rank-2 cluster surface automorphisms.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cluster", help="compute one cluster variable")
+def _cluster_args(p):
     p.add_argument("--n", type=int, required=True, help="index of the variable")
     _add_common(p)
-    p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("period", help="detect the period of the recurrence")
+
+def _period_args(p):
     p.add_argument("--n-max", type=int, default=50, help="search horizon")
     _add_common(p)
-    p.set_defaults(func=cmd_period)
 
-    p = sub.add_parser("aut-compose", help="compose a generator word into a map")
+
+def _aut_compose_args(p):
     p.add_argument("word", nargs="+", help="word tokens (s2 s3 sp(p) m(i,j) h)")
     _add_common(p)
     _add_literal(p)
-    p.set_defaults(func=cmd_aut_compose)
 
-    p = sub.add_parser("aut-factor", help="factor a map into generators")
+
+def _aut_factor_args(p):
     p.add_argument("word", nargs="*", help="word to compose and refactor")
     p.add_argument(
         "--map-json", help="read the map from this JSON file ('-' = stdin)"
     )
     _add_common(p)
     _add_literal(p)
-    p.set_defaults(func=cmd_aut_factor)
 
-    p = sub.add_parser("aut-order", help="order of a composed map")
+
+def _aut_order_args(p):
     p.add_argument("word", nargs="+", help="word tokens")
     _add_common(p)
     _add_literal(p)
-    p.set_defaults(func=cmd_aut_order)
 
-    p = sub.add_parser("group-mul", help="multiply two abstract group words")
+
+def _group_mul_args(p):
     p.add_argument("left", help="first word (quoted)")
     p.add_argument("right", help="second word (quoted)")
     _add_common(p)
-    p.set_defaults(func=cmd_group_mul)
 
-    p = sub.add_parser("group-structure", help="describe the automorphism group")
-    _add_common(p)
-    p.set_defaults(func=cmd_group_structure)
 
-    p = sub.add_parser("group-enumerate", help="list a finite group")
-    _add_common(p)
-    p.set_defaults(func=cmd_group_enumerate)
-
-    p = sub.add_parser("geom-boundary", help="boundary cycle of a compactification")
+def _geom_boundary_args(p):
     p.add_argument(
         "--model",
         required=True,
@@ -419,23 +404,62 @@ def build_parser() -> argparse.ArgumentParser:
         help="root of the blow-up script",
     )
     _add_common(p)
-    p.set_defaults(func=cmd_geom_boundary)
 
-    p = sub.add_parser("classify", help="isomorphism verdict for two surfaces")
+
+def _classify_args(p):
     p.add_argument("--c", type=int, required=True, help="first exponent, second surface")
     p.add_argument("--d", type=int, required=True, help="second exponent, second surface")
     _add_common(p)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("verify", help="run a self-verification suite")
+
+def _verify_args(p):
     p.add_argument(
         "--suite",
         choices=("identities", "theorem", "geometry", "errata", "all"),
         default="all",
     )
     _add_common(p, params=False)
-    p.set_defaults(func=cmd_verify)
 
+
+#: (name, help line, handler, argument builder) of every subcommand, in the
+#: order the top-level help lists them
+_COMMANDS = (
+    ("cluster", "compute one cluster variable", cmd_cluster, _cluster_args),
+    ("period", "detect the period of the recurrence", cmd_period, _period_args),
+    ("aut-compose", "compose a generator word into a map", cmd_aut_compose, _aut_compose_args),
+    ("aut-factor", "factor a map into generators", cmd_aut_factor, _aut_factor_args),
+    ("aut-order", "order of a composed map", cmd_aut_order, _aut_order_args),
+    ("group-mul", "multiply two abstract group words", cmd_group_mul, _group_mul_args),
+    ("group-structure", "describe the automorphism group", cmd_group_structure, _add_common),
+    ("group-enumerate", "list a finite group", cmd_group_enumerate, _add_common),
+    (
+        "geom-boundary",
+        "boundary cycle of a compactification",
+        cmd_geom_boundary,
+        _geom_boundary_args,
+    ),
+    ("classify", "isomorphism verdict for two surfaces", cmd_classify, _classify_args),
+    ("verify", "run a self-verification suite", cmd_verify, _verify_args),
+)
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  Every subcommand is listed with its help
+    line, since the top-level help, usage and invalid-choice errors name them
+    all, but only those whose names occur in ``argv`` get their arguments and
+    handler: the command argparse runs is always one of them, so what it
+    prints and returns is what the full tree gives."""
+    named = set(argv)
+    ap = argparse.ArgumentParser(
+        prog="clusteraut",
+        description="Exact engine for rank-2 cluster surface automorphisms.",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, summary, func, add_args in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        if name in named:
+            add_args(p)
+            p.set_defaults(func=func)
     return ap
 
 
@@ -443,7 +467,8 @@ def _run(args) -> tuple[int, str]:
     """Run the command and render what it prints.  The stdout of a
     ``cluster`` request that exited 0 is held in the walk cache, sized by
     the terms of its y_n, and printed from there when the same request comes
-    again; refusals are not held, and the budget is part of the key."""
+    again; a refused request's reply is not held (its walk keeps the
+    refused step), and the budget is part of the key."""
     key = None
     if args.command == "cluster":
         key = ("reply", _params(args), args.n, args.max_terms, args.format)
@@ -458,7 +483,8 @@ def _run(args) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     if args.max_terms < 1 or args.max_word < 1:
         print("budget caps must be positive", file=sys.stderr)
         return 2

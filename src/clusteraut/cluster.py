@@ -82,13 +82,15 @@ WALK_CACHE_TERMS = 1 << 15
 
 
 class _Prefix:
-    """The first values y1, y2, ... of one walk, computed under one budget."""
+    """The first values y1, y2, ... of one walk, computed under one budget,
+    and the first step that budget refused, if one was reached."""
 
-    __slots__ = ("values", "exps")
+    __slots__ = ("values", "exps", "refused")
 
     def __init__(self):
         self.values: list = []
         self.exps: dict = {}  # exponent tuples of the cached values, interned
+        self.refused = None  # (index, BudgetExceeded text) of the refused step
 
 
 class _WalkCache:
@@ -96,15 +98,17 @@ class _WalkCache:
     most WALK_CACHE_TERMS terms in total.  Every entry is [value, size], size
     its term count:
 
-    - the prefix of the walk at one pair, under (params, term budget);
-    - a surface variable, under (params, "surface", n, term budget);
+    - the prefix of the walk at one pair, under (params, term budget), with
+      the index and text of its first refused step, which counts one term;
+    - a surface variable, under (params, "surface", n, term budget), or the
+      text of its refusal, sized one term;
     - the stdout of a ``cluster`` request that exited 0, which ``cli`` holds
       under ("reply", params, n, term budget, format), sized by its y_n.
 
     The budget is part of every key because a step that fits one budget can
-    raise BudgetExceeded under a smaller one; only values that succeeded
-    under their own budget are held, so a cached answer or refusal is the one
-    a cold walk gives.  The lock makes each lookup and insert atomic, so
+    raise BudgetExceeded under a smaller one.  A value or refusal is held
+    under the budget that produced it, so a cached answer or refusal is the
+    one a cold walk gives.  The lock makes each lookup and insert atomic, so
     threads can share the cache; values are computed outside it.
     """
 
@@ -168,6 +172,20 @@ class _WalkCache:
             self.terms += size
             return value
 
+    def refuse(self, key, index: int, text: str) -> None:
+        """Note that step ``index`` of walk ``key`` raised BudgetExceeded
+        with ``text``, at one term, unless a refusal is noted already."""
+        with self.lock:
+            entry = self.entries.get(key) or [_Prefix(), 0]
+            if entry[0].refused is not None or entry[1] + 1 > WALK_CACHE_TERMS:
+                return
+            self.entries[key] = entry
+            self.entries.move_to_end(key)
+            self._make_room(1)  # evicts only other entries: this one fits alone
+            entry[0].refused = (index, text)
+            entry[1] += 1
+            self.terms += 1
+
 
 _walks = _WalkCache()
 
@@ -182,7 +200,8 @@ def cluster_walk(params: Params) -> Iterator[ClusterVar]:
 
     Values come from the walk cache where it has them; the others are
     computed from the two before and appended to it.  Each step reads the
-    term budget in effect when it runs.
+    term budget in effect when it runs, and a step that budget refused
+    before raises the same BudgetExceeded at once.
     """
     prev = cur = None
     for n in count(1):
@@ -190,8 +209,14 @@ def cluster_walk(params: Params) -> Iterator[ClusterVar]:
         prefix = _walks.get(key)
         if prefix is not None and n <= len(prefix.values):
             value = prefix.values[n - 1]
+        elif prefix is not None and prefix.refused and prefix.refused[0] == n - 1:
+            raise BudgetExceeded(prefix.refused[1])
         else:
-            step = (Y1, Y2)[n - 1] if n <= 2 else _step_up(params, prev, cur, n - 1)
+            try:
+                step = (Y1, Y2)[n - 1] if n <= 2 else _step_up(params, prev, cur, n - 1)
+            except BudgetExceeded as exc:
+                _walks.refuse(key, n - 1, str(exc))
+                raise
             value = _walks.extend(key, n - 1, step)
         yield ClusterVar(params, n, value)
         prev, cur = cur, value
@@ -289,9 +314,10 @@ def _standard_terms(laurent, a: int, b: int, max_terms: int) -> dict:
 def surface_var(params: Params, n: int) -> LaurentPoly:
     """The cluster variable y_n in the surface algebra, in normal form over
     Z: ``_standard_terms`` of the walk's y_(n-1) at (b, a), which is y_n in
-    the seed (y2, y3), kept in the walk cache unless refused.  In the finite
-    types n is first moved by whole periods p = ``expected_period`` into the
-    p indices nearest the seeds, 3 - p//2 .. 2 + p - p//2.
+    the seed (y2, y3), kept in the walk cache; so is the text of a refusal,
+    which a repeat raises again at once.  In the finite types n is first
+    moved by whole periods p = ``expected_period`` into the p indices
+    nearest the seeds, 3 - p//2 .. 2 + p - p//2.
     """
     p = expected_period(params)
     if p is not None:
@@ -300,10 +326,16 @@ def surface_var(params: Params, n: int) -> LaurentPoly:
         return (Y1, Y2, Y3, Y4)[n - 1]
     key = (params, "surface", n, current_max_terms())
     held = _walks.get(key)
+    if isinstance(held, str):  # a refusal
+        raise BudgetExceeded(held)
     if held is not None:
         return held
-    laurent = cluster_var(Params(params.b, params.a), n - 1).value
-    value = LaurentPoly(ZZ, _standard_terms(laurent.terms(), params.a, params.b, key[3]))
+    try:
+        laurent = cluster_var(Params(params.b, params.a), n - 1).value
+        value = LaurentPoly(ZZ, _standard_terms(laurent.terms(), params.a, params.b, key[3]))
+    except BudgetExceeded as exc:
+        _walks.put(key, str(exc), 1)
+        raise
     _walks.put(key, value, value.num_terms)
     return value
 

@@ -14,8 +14,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from clusteraut import cli
+from clusteraut.budget import limit
 from clusteraut.cli import main
 from clusteraut.cluster import clear_walk_cache
+from clusteraut.errors import BudgetExceeded
 from clusteraut.textio import print_poly
 
 
@@ -526,13 +529,18 @@ def test_cluster_and_period_argv_end_cleanly(command, a, b, n, n_max, max_terms)
         assert call_main(argv) == result
 
 
-def benchmark_argv(workload, seed, count):
-    """The argv of the first ``count`` requests of a perfbench workload."""
+def benchmark_requests(workload, seed, count):
+    """The first ``count`` requests of a perfbench workload."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return [req["argv"] for req in islice(workloads.requests(workload, seed), count)]
+    return list(islice(workloads.requests(workload, seed), count))
+
+
+def benchmark_argv(workload, seed, count):
+    """The argv of the first ``count`` requests of a perfbench workload."""
+    return [req["argv"] for req in benchmark_requests(workload, seed, count)]
 
 
 def test_cluster_replies_repeat_byte_for_byte():
@@ -635,6 +643,34 @@ def test_reply_memo_stays_within_its_bound(capsys, monkeypatch):
     clear_walk_cache()
     assert ask(1, 1, 4) == [walk]  # y1, y2 held; y3 and the reply pass the bound
     assert ask(1, 1, 3) == [(*reply, 3)]
+
+
+def test_refusals_are_held_per_budget_at_one_term_each(capsys):
+    """A walk keeps the index and text of its first refused step beside its
+    prefix, and a refused surface variable keeps its text, each under its
+    own budget and counted as one term; a repeat gives the same refusal and
+    another budget's answer is untouched."""
+    from clusteraut import cluster
+    from clusteraut.poly import Params
+
+    clear_walk_cache()
+    argv = ["cluster", "--a", "3", "--b", "2", "--n", "8", "--max-terms", "50"]
+    refused = (3, "", "budget exceeded: product has 95 terms, budget 50\n")
+    assert run_cli(capsys, *argv) == refused
+    prefix = cluster._walks.get((Params(3, 2), 50))
+    assert prefix.refused == (6, "product has 95 terms, budget 50")  # the step to y7
+    assert [k[0] for k in held_kinds()] == ["walk"]
+    size = cluster._walks.entries[(Params(3, 2), 50)][1]
+    assert size == sum(v.num_terms for v in prefix.values) + 1
+    assert run_cli(capsys, *argv) == refused
+    assert run_cli(capsys, *argv[:-2])[0] == 0
+    with limit(50), pytest.raises(BudgetExceeded, match="^product has 95 terms, budget 50$"):
+        cluster.surface_var(Params(2, 3), 9)  # y8 of the walk at (3,2), past y7
+    held = cluster._walks.entries[(Params(2, 3), "surface", 9, 50)]
+    assert held == ["product has 95 terms, budget 50", 1]
+    with limit(50), pytest.raises(BudgetExceeded, match="^product has 95 terms, budget 50$"):
+        cluster.surface_var(Params(2, 3), 9)
+    assert cluster.surface_var(Params(2, 3), 9).num_terms > 0
 
 
 def test_threads_share_the_reply_memo_safely(monkeypatch):
@@ -930,3 +966,77 @@ def test_console_script_subprocess():
         capture_output=True, text=True,
     )
     assert result.returncode == 2  # argparse: --n is required
+
+
+def outcome(argv):
+    """Exit code, stdout and stderr of ``main(argv)``, argparse's own exits
+    (help and usage errors) included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+COMMANDS = [name for name, *_ in cli._COMMANDS]
+C3 = ["cluster", "--a", "1", "--b", "1", "--n", "3"]
+USAGE_ERRORS = [
+    [], ["bogus"], ["clu"], ["--bogus"], ["--bogus", *C3], [*C3, "--bogus"],
+    ["--", *C3], ["cluster", "--", *C3[1:]], [*C3, "period"], ["--a", "1", *C3],
+    ["cluster"], ["cluster", "--a", "x", "--b", "1", "--n", "3"], [*C3, "--max", "5"],
+    ["classify", "--a", "1", "--b", "1", "--c", "2"], ["group-mul", "--a", "2", "--b", "2", "s2"],
+    ["aut-compose", "--a", "2", "--b", "2"], ["aut-order", "--a", "2", "--b", "2", "--max-word", "x", "r"],
+    [*C3, "--format", "xml"], ["verify", "--suite", "nope"], ["verify", "--paper-literal"],
+    ["verify", "--suite", "identities", "--a", "1"],
+    ["geom-boundary", "--a", "2", "--b", "2", "--model", "bad"],
+    ["geom-boundary", "--a", "2", "--b", "2", "--model", "barx", "--origin", "nowhere"],
+    ["aut-factor", "--a", "2", "--b", "2"], [*C3, "--max-terms", "0"],
+]
+
+
+def test_lazy_parser_prints_what_the_full_tree_prints(monkeypatch, tmp_path):
+    """main(argv) builds the arguments of only the commands named in argv.
+    Its stdout, stderr and exit code equal those of the same call with every
+    command built: on every help text, on argparse's usage errors and on the
+    first 200 requests of each perfbench workload in both formats."""
+    real = cli.build_parser
+
+    def both(argv):
+        lazy = outcome(argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", lambda _: real(COMMANDS))
+            full = outcome(argv)
+        assert lazy == full, argv
+        return lazy
+
+    for argv in [["--help"], ["-h"], *([name, "--help"] for name in COMMANDS)]:
+        code, out, err = both(argv)
+        assert code == 0 and out.startswith("usage: clusteraut") and err == ""
+    for argv in USAGE_ERRORS:
+        assert both(argv)[0] == 2, argv
+    for workload in ("cluster-walk", "aut-roundtrip", "group-geom"):
+        reqs = benchmark_requests(workload, 1, 200)
+        for fmt in ("json", "text"):  # the JSON pass saves the maps that --map-json reads
+            for req in reqs:
+                argv = [arg.replace("{work}", str(tmp_path)) for arg in req["argv"]]
+                assert argv[-2:] == ["--format", "json"]
+                code, out, _ = both([*argv[:-1], fmt])
+                if req["save"] and fmt == "json" and code == 0:
+                    (tmp_path / req["save"]).write_text(out, encoding="utf-8")
+
+
+def test_parser_builds_only_the_named_commands():
+    """Every command is listed, but only the one named gets its arguments
+    and handler; the others keep their help action alone."""
+    ap = cli.build_parser(["cluster", "--a", "2", "--b", "2", "--n", "5"])
+    sub = next(action for action in ap._actions if action.dest == "command")
+    assert list(sub.choices) == COMMANDS
+    for name, parser in sub.choices.items():
+        dests = [action.dest for action in parser._actions]
+        if name == "cluster":
+            assert dests == ["help", "n", "a", "b", "format", "max_terms", "max_word"]
+            assert parser.get_default("func") is cli.cmd_cluster
+        else:
+            assert dests == ["help"] and parser.get_default("func") is None

@@ -95,7 +95,7 @@ def test_group_element_normalizes():
 
 
 def test_origin_choices_are_geom_constants():
-    ap = cli.build_parser()
+    ap = cli.build_parser(["geom-boundary"])
     sub = next(a for a in ap._actions if a.dest == "command")
     origin = next(a for a in sub.choices["geom-boundary"]._actions if a.dest == "origin")
     assert tuple(origin.choices) == (geom.PLANE, geom.QUADRIC)

@@ -10,6 +10,8 @@ y_n from the Laurent walk instead and converts it to standard monomials
 (``cluster._standard_terms``); both must give the same term maps, and the
 new table must answer wherever the old one did.
 """
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -195,12 +197,16 @@ def test_conversion_is_bounded_by_the_term_budget():
     with pytest.raises(BudgetExceeded):
         cluster._standard_terms(laurent.terms(), 2, 3, 40)
     assert len(cluster._standard_terms(laurent.terms(), 2, 3, 41)) == 27
-    # a refused value keeps no entry in the walk cache
+    # a refused value is held as the text of its refusal, at one term, under
+    # its own budget only, and raised again from there
     clear_walk_cache()
     with limit(40):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as refused:
             surface_var(params, 7)
     assert surface_var(params, 7).num_terms == 27
-    assert [key[2:] for key in cluster._walks.entries if key[1:2] == ("surface",)] == [
-        (7, current_max_terms())
-    ]
+    held = {key[2:]: entry for key, entry in cluster._walks.entries.items() if key[1:2] == ("surface",)}
+    assert list(held) == [(7, 40), (7, current_max_terms())]
+    assert held[7, 40] == [str(refused.value), 1] and held[7, current_max_terms()][1] == 27
+    with limit(40):
+        with pytest.raises(BudgetExceeded, match=f"^{re.escape(str(refused.value))}$"):
+            surface_var(params, 7)

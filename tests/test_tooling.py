@@ -290,6 +290,69 @@ print(sorted(calls.items()))
     ]
 
 
+def test_repeated_refusals_make_no_kernel_call():
+    """The first refused step of a walk and a refused surface variable are
+    kept per term budget: a repeated refused ``cluster`` request and a
+    repeated refused ``aut-compose`` request print the same error again and
+    call no kernel function."""
+    body = """
+for argv in (
+    ["cluster", "--a", "3", "--b", "2", "--n", "8", "--max-terms", "50"],
+    ["aut-compose", "--a", "3", "--b", "3", "--max-terms", "400", "r^3"],
+):
+    for _ in range(2):
+        calls.update(dict.fromkeys(calls, 0))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        print(code, err.getvalue().strip(), sum(calls.values()) > 0)
+"""
+    names = (
+        "add_terms", "neg_terms", "scale_terms", "wrap_t", "mul_terms", "pow_terms",
+        "exact_div_terms", "substitute_terms", "binomial_row", "normal_form_terms",
+    )
+    walk = "3 budget exceeded: product has 95 terms, budget 50"
+    surface = "3 budget exceeded: product work 100*367 exceeds budget"
+    assert _count_kernel_calls(names, body) == [
+        f"{walk} True", f"{walk} False", f"{surface} True", f"{surface} False"
+    ]
+
+
+#: a fresh interpreter that counts argparse's ``add_argument`` calls, the
+#: help action of every parser included, while it runs one request
+_ADD_ARGUMENT_CALLS = """
+import argparse, contextlib, io
+from clusteraut import cli
+
+calls = 0
+real = argparse._ActionsContainer.add_argument
+
+def counted(self, *args, **kwargs):
+    global calls
+    calls += 1
+    return real(self, *args, **kwargs)
+
+argparse._ActionsContainer.add_argument = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["cluster", "--a", "2", "--b", "2", "--n", "5"]) == 0
+print(calls)
+"""
+
+
+def test_a_request_builds_only_its_own_arguments():
+    """A cluster request adds the help action of the top-level parser and
+    of each of the 11 subcommands, and the six arguments of ``cluster``:
+    18 ``add_argument`` calls, where building every command's arguments
+    made 81."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ADD_ARGUMENT_CALLS],
+        capture_output=True, text=True, timeout=120, cwd=ROOT, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["18"]
+
+
 _TRACED_VAR = """
 import sys
 sys.path.insert(0, {perfbench!r})
