@@ -57,6 +57,7 @@ def _params(args) -> Params:
 
 def cmd_cluster(args):
     params = _params(args)
+    cluster.refuse_by_size(params, args.n)  # a huge n is refused before any walk
     var = cluster.cluster_var(params, args.n)
     keys = descending_keys(var.value, params)  # the order of both forms
     text_poly = print_poly(var.value, params, keys)
@@ -446,9 +447,9 @@ _COMMANDS = (
 def build_parser(argv) -> argparse.ArgumentParser:
     """The parser for ``argv``.  Every subcommand is listed with its help
     line, since the top-level help, usage and invalid-choice errors name them
-    all, but only those whose names occur in ``argv`` get their arguments and
-    handler: the command argparse runs is always one of them, so what it
-    prints and returns is what the full tree gives."""
+    all, but only those whose names occur in ``argv`` get their help action,
+    arguments and handler: the command argparse runs is always one of them,
+    so what it prints and returns is what the full tree gives."""
     named = set(argv)
     ap = argparse.ArgumentParser(
         prog="clusteraut",
@@ -456,7 +457,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
     for name, summary, func, add_args in _COMMANDS:
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, add_help=name in named)
         if name in named:
             add_args(p)
             p.set_defaults(func=func)

@@ -233,6 +233,54 @@ def _walk_value(params: Params, n: int) -> LaurentPoly:
             return var.value
 
 
+def _size_floor(params: Params, n: int, cap: int) -> int:
+    """A lower bound on the term count of the Laurent y_n, n >= 3, ab >= 4:
+    d1 + d2 + 1, with (d1, d2) the denominator vector of y_n, or the same
+    at the first index m of n's parity where it passes ``cap``.
+
+    The vectors follow d(2) = (0, -1), d(3) = (1, 0) and d(m + 1) = c_m *
+    d(m) - d(m - 1), c_m = a for even m, b for odd m (Fomin and Zelevinsky,
+    "Cluster algebras IV: Coefficients", Compositio Math. 2007).  On the two
+    axes of Lee, Li and Zelevinsky's greedy expansion of y_n ("Greedy
+    elements in rank 2 cluster algebras", Selecta Math. 2014) the
+    coefficients are C(d2, p) and C(d1, q), so y_n has at least d1 + d2 + 1
+    terms.
+
+    Stopping early is sound because s(m) = d1 + d2 does not decrease within
+    each parity class.  Adding the one-step rule at m - 1, m and m + 1 gives
+    d(m + 2) = (ab - 2) * d(m) - d(m - 2) for m >= 4, so s(m + 2) - s(m) =
+    (ab - 4) * s(m) + s(m) - s(m - 2), which is >= 0 by induction from
+    s(2) = -1 <= s(4) = b + 1 and s(3) = 1 <= s(5) = ab + a - 1, with s(m) >= 0
+    for m >= 3.  Between neighbours s can fall: 7, 5 at m = 5, 6 at (4, 1).
+    """
+    a, b = params.a, params.b
+    p1, p2, d1, d2 = 0, -1, 1, 0  # d(2), d(3)
+    for m in range(3, n):  # d(m) -> d(m + 1)
+        if (n - m) % 2 == 0 and d1 + d2 >= cap:
+            break
+        c = a if m % 2 == 0 else b
+        p1, p2, d1, d2 = d1, d2, c * d1 - p1, c * d2 - p2
+    return d1 + d2 + 1
+
+
+def refuse_by_size(params: Params, n: int) -> None:
+    """Raise BudgetExceeded if ``_size_floor`` of y_n passes the term
+    budget, so that ``cluster_var`` would refuse it, before any walk; for
+    n <= 0 that is the floor of index 3 - n at (b, a).  A y_n the walk cache
+    holds is within the budget and needs no check.  ``cluster_var`` itself
+    does not call this: its refusals keep the text of the refused step."""
+    pair, m = (params, n) if n >= 1 else (Params(params.b, params.a), 3 - n)
+    if pair.product < 4 or m < 3:
+        return
+    budget = current_max_terms()
+    prefix = _walks.get((pair, budget))
+    if prefix is not None and len(prefix.values) >= m:
+        return
+    floor = _size_floor(pair, m, budget)
+    if floor > budget:
+        raise BudgetExceeded(f"y{n} has at least {floor} terms, budget {budget}")
+
+
 def cluster_var(params: Params, n: int) -> ClusterVar:
     """The cluster variable y_n, for any integer n.
 

@@ -23,8 +23,9 @@ import json
 from math import gcd
 
 from . import _kernel as K
-from .budget import cache_per_budget, current_max_terms
+from .budget import WORK_FACTOR, cache_per_budget, current_max_terms
 from .errors import (
+    BudgetExceeded,
     NegativeExponent,
     ParamsMismatch,
     ParseError,
@@ -177,7 +178,13 @@ def y5_expression(params: Params, paper_literal: bool = False) -> LaurentPoly:
 def _reflected_image(top: tuple, n: int, var: int, c: int) -> LaurentPoly:
     """y^top - sum_{j<n} C(n, j+1) * y_var^(c*j + c - 1): the normal form of
     y^top - y_var^(c-1) * sum_{i<n} (1 + y_var^c)^i, by the hockey-stick
-    identity sum_{i<n} (1 + z)^i = sum_{j<n} C(n, j+1) * z^j."""
+    identity sum_{i<n} (1 + z)^i = sum_{j<n} C(n, j+1) * z^j.
+
+    The row C(n, *) has only n + 1 terms but about 0.72 * n^2 bits, so it is
+    refused, before it is built, once n^2 bits pass ``WORK_FACTOR`` times
+    the term budget in 64-bit words."""
+    if n * n > 64 * WORK_FACTOR * current_max_terms():
+        raise BudgetExceeded(f"binomial row {n} exceeds budget")
     terms = {top + (0,): 1}
     for j, coeff in enumerate(K.binomial_row(n)[1:]):
         key = [0, 0, 0, 0, 0]

@@ -1011,7 +1011,12 @@ def test_lazy_parser_prints_what_the_full_tree_prints(monkeypatch, tmp_path):
         assert lazy == full, argv
         return lazy
 
-    for argv in [["--help"], ["-h"], *([name, "--help"] for name in COMMANDS)]:
+    helps = [
+        ["--help"], ["-h"], *([name, "--help"] for name in COMMANDS),
+        ["--help", "cluster"], ["-h", "bogus"],  # top-level help with a command named
+        ["group-mul", "--a", "2", "--b", "2", "cluster", "--help"],  # a name as a value
+    ]
+    for argv in helps:
         code, out, err = both(argv)
         assert code == 0 and out.startswith("usage: clusteraut") and err == ""
     for argv in USAGE_ERRORS:
@@ -1028,8 +1033,8 @@ def test_lazy_parser_prints_what_the_full_tree_prints(monkeypatch, tmp_path):
 
 
 def test_parser_builds_only_the_named_commands():
-    """Every command is listed, but only the one named gets its arguments
-    and handler; the others keep their help action alone."""
+    """Every command is listed, but only the one named gets its help
+    action, arguments and handler; the others have no action at all."""
     ap = cli.build_parser(["cluster", "--a", "2", "--b", "2", "--n", "5"])
     sub = next(action for action in ap._actions if action.dest == "command")
     assert list(sub.choices) == COMMANDS
@@ -1039,4 +1044,4 @@ def test_parser_builds_only_the_named_commands():
             assert dests == ["help", "n", "a", "b", "format", "max_terms", "max_word"]
             assert parser.get_default("func") is cli.cmd_cluster
         else:
-            assert dests == ["help"] and parser.get_default("func") is None
+            assert dests == [] and parser.get_default("func") is None

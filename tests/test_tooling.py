@@ -25,15 +25,26 @@ and sigma2 and sigma3 are built in closed form, with no kernel product.
 ``cluster_var`` reads y_n below the seed from the dual walk without calling
 itself again, so a traced run counts one ``cluster.cluster_var`` span per
 outside call.
+
+Sizes are checked before work: a generator whose binomial row would not fit
+the budget's memory, and a ``cluster`` request whose denominator-vector
+floor passes the budget, are refused at once, and that floor never exceeds
+a term count the walk reaches.
 """
 import ast
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from clusteraut import cluster
+from clusteraut.budget import limit
+from clusteraut.errors import BudgetExceeded
+from clusteraut.poly import Params
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("cluster-walk", "aut-roundtrip", "group-geom")
@@ -340,17 +351,18 @@ print(calls)
 
 
 def test_a_request_builds_only_its_own_arguments():
-    """A cluster request adds the help action of the top-level parser and
-    of each of the 11 subcommands, and the six arguments of ``cluster``:
-    18 ``add_argument`` calls, where building every command's arguments
-    made 81."""
+    """A cluster request adds the help actions of the top-level parser and
+    of ``cluster``, the only subcommand argparse can run, and the six
+    arguments of ``cluster``: 8 ``add_argument`` calls, where a help action
+    on each of the 11 subcommands made 18 and building every command's
+    arguments made 81."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _ADD_ARGUMENT_CALLS],
         capture_output=True, text=True, timeout=120, cwd=ROOT, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["18"]
+    assert proc.stdout.splitlines() == ["8"]
 
 
 _TRACED_VAR = """
@@ -379,3 +391,78 @@ def test_trace_counts_one_span_per_cluster_var_call():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["1"]
+
+
+def _one_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["group-structure", "--a", "300000", "--b", "1"],
+    ["group-mul", "--a", "100000", "--b", "1", "s2", "s3"],
+])
+def test_huge_generators_are_refused_in_bounded_memory(argv):
+    """sigma3's y5 at (a, 1) holds the binomial row C(a, *), about 0.72 *
+    a^2 bits: it is refused before it is built when a^2 bits pass
+    ``WORK_FACTOR`` times the term budget in 64-bit words.  Under a 1 GiB
+    address space each request exits 3 within 10 s, with no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "clusteraut.cli", *argv],
+        capture_output=True, text=True, timeout=10, cwd=ROOT, env=env,
+        preexec_fn=_one_gib_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"budget exceeded: binomial row {argv[2]} exceeds budget\n"
+
+
+def test_huge_indices_are_refused_before_the_walk():
+    """A y_n whose denominator vector (d1, d2) gives d1 + d2 + 1 > budget
+    terms is refused before its walk starts: no kernel function runs."""
+    body = """
+for argv in (["cluster", "--a", "3", "--b", "3", "--n", "40"],
+             ["cluster", "--a", "5", "--b", "1", "--n", "-30"]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    print(code, err.getvalue().strip(), sum(calls.values()))
+"""
+    names = (
+        "add_terms", "neg_terms", "scale_terms", "wrap_t", "mul_terms", "pow_terms",
+        "exact_div_terms", "substitute_terms", "binomial_row", "normal_form_terms",
+    )
+    assert _count_kernel_calls(names, body) == [
+        "3 budget exceeded: y40 has at least 3010350 terms, budget 1000000 0",
+        "3 budget exceeded: y-30 has at least 1467663 terms, budget 1000000 0",
+    ]
+
+
+def test_size_floor_is_at_most_the_term_count():
+    """``cluster._size_floor``, by which ``cluster`` requests are refused
+    before any walk, is at most the term count of every y_n with ab >= 4
+    and n >= 3 that the sweeps of criteria 01 and 02 materialize: each pair
+    with a + b <= 8 walked to index 23 under 120,000 terms (criterion 02
+    reads n = 1..20 there, and n = 0..-20 as index 3 - n at (b, a)), and
+    (2,2), (4,1) and (3,2) walked to index 52 under 250,000 terms
+    (criterion 01).  Each walk stops where the floor or the walk refuses, as
+    a ``cluster`` request does."""
+    sweeps = [
+        (Params(a, b), 23, 120_000)
+        for a in range(1, 8) for b in range(1, 8) if a + b <= 8 and a * b >= 4
+    ]
+    sweeps += [(Params(a, b), 52, 250_000) for a, b in ((2, 2), (4, 1), (3, 2))]
+    checked = 0
+    for params, top, cap in sweeps:
+        walk = cluster.cluster_walk(params)
+        with limit(cap):
+            for n in range(1, top + 1):
+                floor = cluster._size_floor(params, n, cap) if n >= 3 else 0
+                if floor > cap:
+                    break
+                try:
+                    value = next(walk).value
+                except BudgetExceeded:
+                    break
+                assert floor <= value.num_terms, (params, n)
+                checked += n >= 3
+    assert checked == 297
