@@ -12,6 +12,10 @@ input or configuration; 3 exhausted term budget.
 Only ``verify`` imports its suites (``clusteraut.suites``), and only the
 geometry commands and those suites import ``clusteraut.geom``, so a process
 that answers other commands never loads either.
+
+The parser is built on every call, but of the 11 subcommands only the one
+argparse dispatches to gets a real ``ArgumentParser``: the others stay
+placeholders that hold their help line (``build_parser``).
 """
 from __future__ import annotations
 
@@ -158,10 +162,13 @@ def cmd_aut_factor(args):
 
 
 def cmd_aut_order(args):
-    params, atoms, f = _word_endo(args, " ".join(args.word))
+    params = _params(args)
+    atoms = parse_word(" ".join(args.word))
     if args.paper_literal and params.a != params.b:  # no group element
+        f = surf.compose_word(params, atoms, True)
         order = surf.order_of(f, cap=args.max_word)
     else:
+        surf.fold_word(params, atoms)  # refuses h at a != b as the surface does
         order = autgroup.word_order(params, atoms, args.max_word)
     payload = {
         "a": params.a,
@@ -444,23 +451,40 @@ _COMMANDS = (
 )
 
 
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for ``argv``.  Every subcommand is listed with its help
+class _Deferred:
+    """A subparser that argparse may dispatch to.  Its ``_COMMANDS`` row and
+    the keyword arguments of ``add_parser`` (``prog`` among them) are kept,
+    and the real parser, with its help action, arguments and handler, is
+    built when argparse calls ``parse_known_args(args, namespace)``, the one
+    method ``_SubParsersAction`` calls on a subparser."""
+
+    def __init__(self, command, **kwargs):
+        self._command = command
+        self._kwargs = kwargs
+
+    def parse_known_args(self, args, namespace):
+        _, _, func, add_args = self._command
+        parser = argparse.ArgumentParser(**self._kwargs)
+        add_args(parser)
+        parser.set_defaults(func=func)
+        return parser.parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser.  Every subcommand is listed with its help
     line, since the top-level help, usage and invalid-choice errors name them
-    all, but only those whose names occur in ``argv`` get their help action,
-    arguments and handler: the command argparse runs is always one of them,
-    so what it prints and returns is what the full tree gives."""
-    named = set(argv)
+    all, but each is a ``_Deferred`` placeholder: only the one argparse
+    dispatches to is built, so what a call prints and returns is what the
+    tree of real subparsers gives.  That relies on argparse calling no
+    method of a subparser but ``parse_known_args``, as Python 3.11 does;
+    other versions are untested."""
     ap = argparse.ArgumentParser(
         prog="clusteraut",
         description="Exact engine for rank-2 cluster surface automorphisms.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, summary, func, add_args in _COMMANDS:
-        p = sub.add_parser(name, help=summary, add_help=name in named)
-        if name in named:
-            add_args(p)
-            p.set_defaults(func=func)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Deferred)
+    for command in _COMMANDS:
+        sub.add_parser(command[0], help=command[1], command=command)
     return ap
 
 
@@ -484,8 +508,7 @@ def _run(args) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.max_terms < 1 or args.max_word < 1:
         print("budget caps must be positive", file=sys.stderr)
         return 2

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .budget import WORK_FACTOR, current_max_terms
 from .errors import (
+    BudgetExceeded,
     EngineError,
     ModelUnavailable,
     NotAnticanonical,
@@ -412,8 +414,15 @@ def build_compactification(
     Each (params, model, origin) is built once per process: the results are
     immutable, so a cached one is the one a cold build gives.  Refusals
     (ModelUnavailable) are not cached.
+
+    Every class is a dense tuple of length rank <= a + b + 4, so a script
+    costs about rank^2 coefficients: it is refused, cached or not, when
+    that passes ``WORK_FACTOR`` times the term budget.
     """
-    if params.a + params.b + 4 > COMPACTIFICATION_CACHE_RANK:
+    rank = params.a + params.b + 4
+    if rank * rank > WORK_FACTOR * current_max_terms():
+        raise BudgetExceeded(f"classes of rank {rank} exceed budget")
+    if rank > COMPACTIFICATION_CACHE_RANK:
         return _build_compactification(params, model, origin)
     return _cached_compactification(params, model, origin)
 

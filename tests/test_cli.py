@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, JSON payload stability, text output."""
+import argparse
 import importlib.util
 import io
 import json
@@ -996,17 +997,30 @@ USAGE_ERRORS = [
 ]
 
 
+def full_tree(top):
+    """The parser ``top`` with every subcommand a real ``ArgumentParser``,
+    built from ``cli._COMMANDS`` with its help action, arguments and
+    handler."""
+    ap = argparse.ArgumentParser(prog=top.prog, description=top.description)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, summary, func, add_args in cli._COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        add_args(p)
+        p.set_defaults(func=func)
+    return ap
+
+
 def test_lazy_parser_prints_what_the_full_tree_prints(monkeypatch, tmp_path):
-    """main(argv) builds the arguments of only the commands named in argv.
-    Its stdout, stderr and exit code equal those of the same call with every
-    command built: on every help text, on argparse's usage errors and on the
-    first 200 requests of each perfbench workload in both formats."""
+    """main(argv) builds only the subparser argparse dispatches to.  Its
+    stdout, stderr and exit code equal those of the same call with every
+    subparser built: on every help text, on argparse's usage errors and on
+    the first 200 requests of each perfbench workload in both formats."""
     real = cli.build_parser
 
     def both(argv):
         lazy = outcome(argv)
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "build_parser", lambda _: real(COMMANDS))
+            patch.setattr(cli, "build_parser", lambda: full_tree(real()))
             full = outcome(argv)
         assert lazy == full, argv
         return lazy
@@ -1015,11 +1029,12 @@ def test_lazy_parser_prints_what_the_full_tree_prints(monkeypatch, tmp_path):
         ["--help"], ["-h"], *([name, "--help"] for name in COMMANDS),
         ["--help", "cluster"], ["-h", "bogus"],  # top-level help with a command named
         ["group-mul", "--a", "2", "--b", "2", "cluster", "--help"],  # a name as a value
+        ["cluster", "-h", "--bogus"],  # help before an unknown option
     ]
     for argv in helps:
         code, out, err = both(argv)
         assert code == 0 and out.startswith("usage: clusteraut") and err == ""
-    for argv in USAGE_ERRORS:
+    for argv in USAGE_ERRORS:  # [] and ["bogus"] among them: no subparser runs
         assert both(argv)[0] == 2, argv
     for workload in ("cluster-walk", "aut-roundtrip", "group-geom"):
         reqs = benchmark_requests(workload, 1, 200)
@@ -1032,16 +1047,26 @@ def test_lazy_parser_prints_what_the_full_tree_prints(monkeypatch, tmp_path):
                     (tmp_path / req["save"]).write_text(out, encoding="utf-8")
 
 
-def test_parser_builds_only_the_named_commands():
-    """Every command is listed, but only the one named gets its help
-    action, arguments and handler; the others have no action at all."""
-    ap = cli.build_parser(["cluster", "--a", "2", "--b", "2", "--n", "5"])
-    sub = next(action for action in ap._actions if action.dest == "command")
-    assert list(sub.choices) == COMMANDS
-    for name, parser in sub.choices.items():
-        dests = [action.dest for action in parser._actions]
-        if name == "cluster":
-            assert dests == ["help", "n", "a", "b", "format", "max_terms", "max_word"]
-            assert parser.get_default("func") is cli.cmd_cluster
-        else:
-            assert dests == [] and parser.get_default("func") is None
+def test_main_builds_only_the_dispatched_parser(monkeypatch):
+    """Besides the top-level parser, main(argv) constructs an
+    ``ArgumentParser`` only for the subcommand argparse runs, and none when
+    argparse stops before a subcommand."""
+    built = 0
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cases = [
+        (["cluster", "--a", "2", "--b", "2", "--n", "5"], 2),
+        (["group-mul", "--a", "2", "--b", "2", "cluster", "--help"], 2),  # cluster only a value
+        (["--help"], 1),
+        (["bogus"], 1),
+    ]
+    for argv, parsers in cases:
+        built = 0
+        outcome(argv)
+        assert built == parsers, argv

@@ -1,5 +1,7 @@
 """The value records: equality, hashing, repr and immutability as frozen
 dataclasses gave them, and their validation errors."""
+import argparse
+
 import pytest
 
 from clusteraut import cli, geom
@@ -95,8 +97,9 @@ def test_group_element_normalizes():
 
 
 def test_origin_choices_are_geom_constants():
-    ap = cli.build_parser(["geom-boundary"])
-    sub = next(a for a in ap._actions if a.dest == "command")
-    origin = next(a for a in sub.choices["geom-boundary"]._actions if a.dest == "origin")
+    parser = argparse.ArgumentParser()
+    add_args = next(row[3] for row in cli._COMMANDS if row[0] == "geom-boundary")
+    add_args(parser)
+    origin = next(a for a in parser._actions if a.dest == "origin")
     assert tuple(origin.choices) == (geom.PLANE, geom.QUADRIC)
     assert origin.default == geom.PLANE

@@ -17,7 +17,8 @@ only the geometry commands load.
 The group's action tables are read from word folds and checked on the
 generators' images, the check h o s2 o h = s3 at a = b renames images, and
 every group element is read from a word fold, so the group commands and
-``aut-order`` compose no surface map; a fresh interpreter counts the calls.
+``aut-order`` compose no surface map, and a word of infinite order none at
+all; a fresh interpreter counts the calls.
 The surface variables those maps are built from come from the Laurent walk,
 so building them substitutes nothing and rewrites nothing into normal form,
 and sigma2 and sigma3 are built in closed form, with no kernel product.
@@ -27,9 +28,14 @@ itself again, so a traced run counts one ``cluster.cluster_var`` span per
 outside call.
 
 Sizes are checked before work: a generator whose binomial row would not fit
-the budget's memory, and a ``cluster`` request whose denominator-vector
-floor passes the budget, are refused at once, and that floor never exceeds
-a term count the walk reaches.
+the budget's memory, a compactification whose dense classes would not, and
+a ``cluster`` request whose denominator-vector floor passes the budget, are
+refused at once, and that floor never exceeds a term count the walk
+reaches.
+
+A request constructs two ``argparse.ArgumentParser`` objects, the top-level
+one and that of the subcommand argparse dispatches to, and adds only their
+arguments.
 """
 import ast
 import json
@@ -269,6 +275,13 @@ def _count_kernel_calls(names, body) -> list:
     return proc.stdout.splitlines()
 
 
+#: every kernel function that does polynomial work
+_KERNEL_NAMES = (
+    "add_terms", "neg_terms", "scale_terms", "wrap_t", "mul_terms", "pow_terms",
+    "exact_div_terms", "substitute_terms", "binomial_row", "normal_form_terms",
+)
+
+
 def test_surface_maps_need_no_substitution_or_rewriting():
     """Each y_n of the table comes from the Laurent walk and one conversion
     to standard monomials: a cold five-letter word at (3,2) and (2,3), whose
@@ -318,51 +331,59 @@ for argv in (
             code = cli.main(argv)
         print(code, err.getvalue().strip(), sum(calls.values()) > 0)
 """
-    names = (
-        "add_terms", "neg_terms", "scale_terms", "wrap_t", "mul_terms", "pow_terms",
-        "exact_div_terms", "substitute_terms", "binomial_row", "normal_form_terms",
-    )
     walk = "3 budget exceeded: product has 95 terms, budget 50"
     surface = "3 budget exceeded: product work 100*367 exceeds budget"
-    assert _count_kernel_calls(names, body) == [
+    assert _count_kernel_calls(_KERNEL_NAMES, body) == [
         f"{walk} True", f"{walk} False", f"{surface} True", f"{surface} False"
     ]
 
 
-#: a fresh interpreter that counts argparse's ``add_argument`` calls, the
-#: help action of every parser included, while it runs one request
-_ADD_ARGUMENT_CALLS = """
+#: a fresh interpreter that counts the calls of the argparse function
+#: ``method`` (for ``add_argument``, the help action of every parser
+#: included) while it runs one request
+_ARGPARSE_CALLS = """
 import argparse, contextlib, io
 from clusteraut import cli
 
 calls = 0
-real = argparse._ActionsContainer.add_argument
+real = {method}
 
 def counted(self, *args, **kwargs):
     global calls
     calls += 1
     return real(self, *args, **kwargs)
 
-argparse._ActionsContainer.add_argument = counted
+{method} = counted
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["cluster", "--a", "2", "--b", "2", "--n", "5"]) == 0
 print(calls)
 """
 
 
-def test_a_request_builds_only_its_own_arguments():
-    """A cluster request adds the help actions of the top-level parser and
-    of ``cluster``, the only subcommand argparse can run, and the six
-    arguments of ``cluster``: 8 ``add_argument`` calls, where a help action
-    on each of the 11 subcommands made 18 and building every command's
-    arguments made 81."""
+def _count_argparse_calls(method) -> list:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", _ADD_ARGUMENT_CALLS],
+        [sys.executable, "-c", _ARGPARSE_CALLS.format(method=method)],
         capture_output=True, text=True, timeout=120, cwd=ROOT, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["8"]
+    return proc.stdout.splitlines()
+
+
+def test_a_request_builds_only_its_own_arguments():
+    """A cluster request adds the help action of the top-level parser, and
+    the help action and six arguments of ``cluster``, the subcommand
+    argparse dispatches to: 8 ``add_argument`` calls, where a help action
+    on each of the 11 subcommands made 18 and building every command's
+    arguments made 81."""
+    assert _count_argparse_calls("argparse._ActionsContainer.add_argument") == ["8"]
+
+
+def test_a_request_constructs_two_parsers():
+    """A cluster request constructs the top-level ``ArgumentParser`` and
+    that of ``cluster``, the subcommand argparse dispatches to: 2, where a
+    subparser for each of the 11 subcommands made 12."""
+    assert _count_argparse_calls("argparse.ArgumentParser.__init__") == ["2"]
 
 
 _TRACED_VAR = """
@@ -397,6 +418,18 @@ def _one_gib_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _run_in_one_gib(argv) -> tuple:
+    """Exit code, stdout and stderr of ``clusteraut argv`` in a fresh
+    process under a 1 GiB address space, killed after 10 s."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "clusteraut.cli", *argv],
+        capture_output=True, text=True, timeout=10, cwd=ROOT, env=env,
+        preexec_fn=_one_gib_address_space,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["group-structure", "--a", "300000", "--b", "1"],
     ["group-mul", "--a", "100000", "--b", "1", "s2", "s3"],
@@ -406,14 +439,40 @@ def test_huge_generators_are_refused_in_bounded_memory(argv):
     a^2 bits: it is refused before it is built when a^2 bits pass
     ``WORK_FACTOR`` times the term budget in 64-bit words.  Under a 1 GiB
     address space each request exits 3 within 10 s, with no traceback."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "clusteraut.cli", *argv],
-        capture_output=True, text=True, timeout=10, cwd=ROOT, env=env,
-        preexec_fn=_one_gib_address_space,
-    )
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr == f"budget exceeded: binomial row {argv[2]} exceeds budget\n"
+    err = f"budget exceeded: binomial row {argv[2]} exceeds budget\n"
+    assert _run_in_one_gib(argv) == (3, "", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["geom-boundary", "--a", "1000000", "--b", "1", "--model", "barx"],
+    ["classify", "--a", "1000000", "--b", "3", "--c", "3", "--d", "1000000"],
+])
+def test_huge_geometry_is_refused_in_bounded_memory(argv):
+    """Every divisor class is a dense tuple of length rank <= a + b + 4, so
+    a compactification is refused before it is built when rank^2 passes
+    ``WORK_FACTOR`` times the term budget.  Under a 1 GiB address space
+    each request exits 3 within 10 s, with no traceback."""
+    rank = int(argv[2]) + int(argv[4]) + 4
+    err = f"budget exceeded: classes of rank {rank} exceed budget\n"
+    assert _run_in_one_gib(argv) == (3, "", err)
+
+
+def test_infinite_order_composes_no_map():
+    """aut-order asks the group first, and a word of infinite order gets
+    its answer before any map is composed: once the group of (2,2) is
+    built, r^k with a 20-digit k there exits 0 with no order and calls no
+    kernel function."""
+    body = """
+import json
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["group-structure", "--a", "2", "--b", "2"]) == 0
+calls.update(dict.fromkeys(calls, 0))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["aut-order", "--a", "2", "--b", "2", "r^99999999999999999999", "--format", "json"])
+print(code, json.loads(out.getvalue())["order"], sum(calls.values()))
+"""
+    assert _count_kernel_calls(_KERNEL_NAMES, body) == ["0 None 0"]
 
 
 def test_huge_indices_are_refused_before_the_walk():
@@ -427,11 +486,7 @@ for argv in (["cluster", "--a", "3", "--b", "3", "--n", "40"],
         code = cli.main(argv)
     print(code, err.getvalue().strip(), sum(calls.values()))
 """
-    names = (
-        "add_terms", "neg_terms", "scale_terms", "wrap_t", "mul_terms", "pow_terms",
-        "exact_div_terms", "substitute_terms", "binomial_row", "normal_form_terms",
-    )
-    assert _count_kernel_calls(names, body) == [
+    assert _count_kernel_calls(_KERNEL_NAMES, body) == [
         "3 budget exceeded: y40 has at least 3010350 terms, budget 1000000 0",
         "3 budget exceeded: y-30 has at least 1467663 terms, budget 1000000 0",
     ]
