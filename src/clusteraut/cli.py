@@ -256,8 +256,7 @@ def cmd_geom_boundary(args):
 
     params = _params(args)
     model = _MODELS[args.model]
-    _, cycle = geom.build_compactification(params, model, args.origin)
-    summary = geom.boundary_summary(cycle)
+    summary = geom.boundary_invariants(params, model, args.origin).summary()
     payload = {"a": params.a, "b": params.b, "model": args.model, **summary}
     text = "\n".join(
         [
@@ -279,13 +278,8 @@ def cmd_classify(args):
         p2 = Params(args.c, args.d)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    verdict = geom.isomorphism_verdict(p1, p2)
-    inv1 = geom.square_invariant(
-        geom.build_compactification(p1, "SquareS")[1].ngon_type()
-    )
-    inv2 = geom.square_invariant(
-        geom.build_compactification(p2, "SquareS")[1].ngon_type()
-    )
+    inv1, inv2 = geom.square_invariants(p1, p2)
+    verdict = inv1 == inv2
     payload = {
         "pair1": [p1.a, p1.b],
         "pair2": [p2.a, p2.b],

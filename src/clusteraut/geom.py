@@ -2,14 +2,16 @@
 
 Surfaces are tracked through their divisor class lattices only: blow-ups
 extend the lattice by (-1)-classes, contractions push classes forward and
-adjust the canonical class.  Self-intersections are always computed from
-the intersection form, never stored.  The n-gon move calculus (elementary
-moves, fibered modifications, standardness, the square invariant) works on
-plain integer cycles.
+adjust the canonical class.  Self-intersections, the anticanonical test
+and K^2 are computed from the intersection form, once per compactification
+(``boundary_invariants``).  The n-gon move calculus (elementary moves,
+fibered modifications, standardness, the square invariant) works on plain
+integer cycles.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from .budget import WORK_FACTOR, current_max_terms
@@ -56,6 +58,8 @@ class PicardLattice(Record):
 
     # compared by every DivisorClass.dot
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (
@@ -67,15 +71,12 @@ class PicardLattice(Record):
     __hash__ = Record.__hash__  # defining __eq__ would unset it
 
     def dot(self, u: tuple, v: tuple) -> int:
+        # every exceptional class squares to -1, so negate the plain sum and
+        # put the head right: L^2 = 1; or f1.f2 = 1 and f1^2 = f2^2 = 0
+        s = sum(map(operator.mul, u, v))
         if self.origin == PLANE:
-            s = u[0] * v[0]
-            head = 1
-        else:
-            s = u[0] * v[1] + u[1] * v[0]
-            head = 2
-        for i in range(head, self.rank):
-            s -= u[i] * v[i]
-        return s
+            return 2 * u[0] * v[0] - s
+        return u[0] * v[1] + u[1] * v[0] + u[0] * v[0] + u[1] * v[1] - s
 
     def blow_up(self, count: int = 1) -> "PicardLattice":
         """Extend by ``count`` exceptional classes; K gains each new class."""
@@ -134,7 +135,7 @@ class NgonType(Record):
     __slots__ = ("ints",)
 
     def __init__(self, ints):
-        object.__setattr__(self, "ints", tuple(int(x) for x in ints))
+        object.__setattr__(self, "ints", tuple(map(int, ints)))
 
     def __repr__(self) -> str:
         return f"NgonType({self.ints!r})"
@@ -304,11 +305,11 @@ def contract(cycle: BoundaryCycle, index: int) -> BoundaryCycle:
 
 def is_anticanonical(cycle: BoundaryCycle) -> bool:
     """True when the curve classes sum to -K."""
-    total = [0] * cycle.lattice.rank
-    for c in cycle.curves:
-        for i, x in enumerate(c.coeffs):
-            total[i] += x
-    return tuple(total) == tuple(-x for x in cycle.lattice.k)
+    k = cycle.lattice.k
+    if not cycle.curves:
+        return not any(k)
+    total = tuple(map(sum, zip(*(c.coeffs for c in cycle.curves))))
+    return total == tuple(-x for x in k)
 
 
 def canonical_degree(lattice: PicardLattice) -> int:
@@ -321,11 +322,35 @@ def is_weak_del_pezzo(lattice: PicardLattice, cycle: BoundaryCycle) -> bool:
     A boundary curve C in an anticanonical cycle has C.(-K) = C^2 + 2, so
     the test reduces to C^2 >= -2 on the cycle.
     """
-    if not is_anticanonical(cycle):
-        raise NotAnticanonical("cycle does not represent -K")
-    if canonical_degree(lattice) <= 0:
-        return False
-    return all(c.self_intersection + 2 >= 0 for c in cycle.curves)
+    return BoundaryInvariants(lattice, cycle).weak_del_pezzo()
+
+
+class BoundaryInvariants(Record):
+    """What a compactification's boundary shows: the origin, the n-gon
+    type, whether the cycle represents -K, and K^2 of ``lattice``."""
+
+    __slots__ = ("origin", "ngon", "anticanonical", "k2")
+
+    def __init__(self, lattice: PicardLattice, cycle: BoundaryCycle):
+        object.__setattr__(self, "origin", cycle.lattice.origin)
+        object.__setattr__(self, "ngon", cycle.ngon_type())
+        object.__setattr__(self, "anticanonical", is_anticanonical(cycle))
+        object.__setattr__(self, "k2", canonical_degree(lattice))
+
+    def summary(self) -> dict:
+        """JSON-ready view; a new dict on every call."""
+        return {
+            "origin": self.origin,
+            "types": list(self.ngon.ints),
+            "anticanonical": self.anticanonical,
+            "K2": self.k2,
+        }
+
+    def weak_del_pezzo(self) -> bool:
+        """See ``is_weak_del_pezzo``."""
+        if not self.anticanonical:
+            raise NotAnticanonical("cycle does not represent -K")
+        return self.k2 > 0 and all(t + 2 >= 0 for t in self.ngon.ints)
 
 
 # -- scripted compactifications --------------------------------------------
@@ -396,8 +421,10 @@ def _build_y(params: Params) -> BoundaryCycle:
 
 #: Bound on the compactification cache: a script's lattice has rank at most
 #: a + b + 4, and pairs whose lattices could pass this rank are built
-#: uncached.  An entry holds about rank^2 coefficients (10.9 KB at rank 23),
-#: so the cache's 256 entries take at most 2.8 MB.
+#: uncached.  An entry holds about rank^2 coefficients and the boundary
+#: invariants (13.9 KB at rank 23 by tracemalloc, 0.3 KB of it the
+#: invariants), so the cache's 256 entries take at most 3.6 MB; the 137
+#: compactifications of the group-geom benchmark take 0.48 MB.
 COMPACTIFICATION_CACHE_RANK = 24
 
 
@@ -419,12 +446,29 @@ def build_compactification(
     costs about rank^2 coefficients: it is refused, cached or not, when
     that passes ``WORK_FACTOR`` times the term budget.
     """
+    if _cacheable(params):
+        return _cached_compactification(params, model, origin)[0]
+    return _build_compactification(params, model, origin)
+
+
+def boundary_invariants(
+    params: Params, model: str, origin: str = PLANE
+) -> BoundaryInvariants:
+    """The ``BoundaryInvariants`` of ``build_compactification(params, model,
+    origin)``, with the same refusals.  A cached compactification keeps
+    them beside its classes, so a warm call reads no intersection product.
+    """
+    if _cacheable(params):
+        return _cached_compactification(params, model, origin)[1]
+    return BoundaryInvariants(*_build_compactification(params, model, origin))
+
+
+def _cacheable(params: Params) -> bool:
+    """Refuse a script too large for the budget; else whether it is cached."""
     rank = params.a + params.b + 4
     if rank * rank > WORK_FACTOR * current_max_terms():
         raise BudgetExceeded(f"classes of rank {rank} exceed budget")
-    if rank > COMPACTIFICATION_CACHE_RANK:
-        return _build_compactification(params, model, origin)
-    return _cached_compactification(params, model, origin)
+    return rank <= COMPACTIFICATION_CACHE_RANK
 
 
 def _build_compactification(params: Params, model: str, origin: str):
@@ -463,17 +507,17 @@ def _build_compactification(params: Params, model: str, origin: str):
     return cycle.lattice, cycle
 
 
-_cached_compactification = lru_cache(maxsize=256)(_build_compactification)
+def _build_with_invariants(params: Params, model: str, origin: str):
+    built = _build_compactification(params, model, origin)
+    return built, BoundaryInvariants(*built)
+
+
+_cached_compactification = lru_cache(maxsize=256)(_build_with_invariants)
 
 
 def boundary_summary(cycle: BoundaryCycle) -> dict:
     """JSON-ready view of a boundary cycle."""
-    return {
-        "origin": cycle.lattice.origin,
-        "types": list(cycle.ngon_type().ints),
-        "anticanonical": is_anticanonical(cycle),
-        "K2": canonical_degree(cycle.lattice),
-    }
+    return BoundaryInvariants(cycle.lattice, cycle).summary()
 
 
 # -- the n-gon move calculus -----------------------------------------------
@@ -543,6 +587,19 @@ def square_invariant(t: NgonType) -> tuple:
             if seq[0] == 0 and seq[1] == 0:
                 return tuple(sorted((-seq[2], -seq[3])))
     raise NotStandardSquare(f"{t} is not a standard square")
+
+
+def square_invariants(p1: Params, p2: Params) -> tuple:
+    """Both surfaces' square invariants, read from their cached n-gon types,
+    with the refusals of ``isomorphism_verdict`` in the same order."""
+    inv = []
+    for p in (p1, p2):
+        if p.a < 2 or p.b < 2:
+            raise ModelUnavailable(
+                "the square invariant needs a, b >= 2 on both sides"
+            )
+        inv.append(square_invariant(boundary_invariants(p, "SquareS").ngon))
+    return tuple(inv)
 
 
 def isomorphism_verdict(p1: Params, p2: Params) -> bool:

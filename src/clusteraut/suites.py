@@ -105,10 +105,10 @@ def _suite_geometry():
     for a in range(1, 6):
         for b in range(1, 6):
             params = Params(a, b)
-            _, cycle = geom.build_compactification(params, "Pentagon")
+            inv = geom.boundary_invariants(params, "Pentagon")
             want = (-1, -b, -a, -1, -1)
-            got = cycle.ngon_type().ints
-            anti = geom.is_anticanonical(cycle)
+            got = inv.ngon.ints
+            anti = inv.anticanonical
             entries.append(
                 _entry(
                     f"pentagon ({a},{b})",
@@ -118,8 +118,7 @@ def _suite_geometry():
             )
     for a in range(1, 5):
         params = Params(a, 1)
-        _, cycle = geom.build_compactification(params, "TriangleT")
-        got = cycle.ngon_type().ints
+        got = geom.boundary_invariants(params, "TriangleT").ngon.ints
         entries.append(
             _entry(
                 f"triangle ({a},1)", _type_str((0, -(a - 2), 0)), _type_str(got)
@@ -131,8 +130,8 @@ def _suite_geometry():
         (3, 1): ((-1, -1, -1, -1), 4),
     }
     for (a, b), (want_type, want_k2) in y_expect.items():
-        lattice, cycle = geom.build_compactification(Params(a, b), "Y")
-        got = (cycle.ngon_type().ints, geom.canonical_degree(lattice))
+        inv = geom.boundary_invariants(Params(a, b), "Y")
+        got = (inv.ngon.ints, inv.k2)
         entries.append(
             _entry(
                 f"Y model ({a},{b})",
@@ -142,9 +141,8 @@ def _suite_geometry():
         )
     for a in range(1, 5):
         for b in range(1, 5):
-            lattice, cycle = geom.build_compactification(Params(a, b), "Pentagon")
             want = a <= 2 and b <= 2
-            got = geom.is_weak_del_pezzo(lattice, cycle)
+            got = geom.boundary_invariants(Params(a, b), "Pentagon").weak_del_pezzo()
             entries.append(
                 _entry(
                     f"weak del Pezzo ({a},{b})",
@@ -154,12 +152,9 @@ def _suite_geometry():
             )
     for a, b in ((2, 2), (2, 3), (3, 2), (3, 3)):
         params = Params(a, b)
-        plane = geom.build_compactification(params, "SquareS", geom.PLANE)
-        quad = geom.build_compactification(params, "SquareS", geom.QUADRIC)
-        same = (
-            plane[1].ngon_type().ints == quad[1].ngon_type().ints
-            and geom.canonical_degree(plane[0]) == geom.canonical_degree(quad[0])
-        )
+        plane = geom.boundary_invariants(params, "SquareS", geom.PLANE)
+        quad = geom.boundary_invariants(params, "SquareS", geom.QUADRIC)
+        same = plane.ngon.ints == quad.ngon.ints and plane.k2 == quad.k2
         entries.append(
             _entry(
                 f"square scripts agree ({a},{b})",
@@ -172,8 +167,8 @@ def _suite_geometry():
 
 def _suite_errata():
     """Three discrepancies between the source text and the derived facts.
-    The identity checks and compactifications behind them are derived once
-    per process (and term budget), so a repeated run reads them back."""
+    The identity checks (per term budget) and the boundary invariants behind
+    them are derived once per process, so a repeated run reads them back."""
     from . import geom
 
     entries = []
@@ -205,8 +200,8 @@ def _suite_errata():
     for a, b in ((2, 3), (3, 2), (2, 2)):
         params = Params(a, b)
         for origin in (geom.PLANE, geom.QUADRIC):
-            got = geom.build_compactification(params, "SquareS", origin)[1]
-            if got.ngon_type().ints != (0, -b, -a, 0):
+            got = geom.boundary_invariants(params, "SquareS", origin)
+            if got.ngon.ints != (0, -b, -a, 0):
                 square_ok = False
     entries.append(
         _entry(

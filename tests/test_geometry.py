@@ -1,11 +1,21 @@
 """Picard-lattice bookkeeping: frozen boundary types, move calculus,
-blow-up/contraction consistency, and the isomorphism classifier."""
+blow-up/contraction consistency, and the isomorphism classifier.
+
+The boundary invariants that the CLI and the verify suites read from the
+compactification cache are checked against the ones computed from the
+cycle, and the lattice primitives against plain loops."""
+import contextlib
+import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clusteraut import geom
+from clusteraut import cli, geom
+from clusteraut.budget import limit
 from clusteraut.errors import (
+    BudgetExceeded,
     EngineError,
     ModelUnavailable,
     NotAnticanonical,
@@ -21,6 +31,7 @@ from clusteraut.geom import (
     BoundaryCycle,
     DivisorClass,
     NgonType,
+    PicardLattice,
     blowup_on_curve,
     build_compactification,
     canonical_degree,
@@ -391,3 +402,214 @@ def test_compactification_cache_keeps_no_refusals_or_large_lattices():
         assert cycle.ngon_type().ints == (-1, -b, -a, -1, -1)
     # only the pair whose lattices all fit within the cap is kept
     assert geom._cached_compactification.cache_info().currsize == 1
+
+
+# -- boundary invariants read from the cache ---------------------------------
+
+#: every model and origin the CLI accepts at a, b <= 6, and pairs whose
+#: lattices pass COMPACTIFICATION_CACHE_RANK, which are built uncached
+INVARIANT_CASES = [
+    (a, b, model, origin)
+    for a in range(1, 7)
+    for b in range(1, 7)
+    for model in MODELS
+    for origin in (PLANE, QUADRIC)
+] + [
+    (20, 3, "Pentagon", PLANE),
+    (1000, 1, "Pentagon", PLANE),
+    (20, 3, "SquareS", QUADRIC),
+    (30, 1, "TriangleT", PLANE),
+]
+
+CLI_MODELS = {v: k for k, v in cli._MODELS.items()}
+
+
+def invariants_from_form(a, b, model, origin):
+    """(types, anticanonical, K^2) computed from the cycle, or the refusal's
+    type and text."""
+    try:
+        lattice, cycle = build_compactification(Params(a, b), model, origin)
+    except EngineError as exc:
+        return type(exc), str(exc)
+    return cycle.ngon_type().ints, is_anticanonical(cycle), canonical_degree(lattice)
+
+
+def invariants_from_cache(a, b, model, origin):
+    try:
+        inv = geom.boundary_invariants(Params(a, b), model, origin)
+    except EngineError as exc:
+        return type(exc), str(exc)
+    return inv.ngon.ints, inv.anticanonical, inv.k2
+
+
+def budget_context(budget):
+    return contextlib.nullcontext() if budget is None else limit(budget)
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("budget", [None, 1, 2, 40])
+def test_cached_invariants_match_the_cycle(budget):
+    with budget_context(budget):
+        geom._cached_compactification.cache_clear()
+        want = {case: invariants_from_form(*case) for case in INVARIANT_CASES}
+        geom._cached_compactification.cache_clear()
+        for case in INVARIANT_CASES:
+            assert invariants_from_cache(*case) == want[case]  # cold
+            assert invariants_from_cache(*case) == want[case]  # warm
+    kinds = {v[0] for v in want.values() if isinstance(v[0], type)}
+    # a budget of 1 refuses even rank 6, before the model is looked at
+    assert (ModelUnavailable in kinds) == (budget != 1)
+    assert (BudgetExceeded in kinds) == (budget is not None)
+    if budget is None:
+        assert want[(1000, 1, "Pentagon", PLANE)] == ((-1, -1, -1000, -1, -1), True, -994)
+
+
+@pytest.mark.parametrize("budget", [None, 1, 2, 40])
+def test_geom_boundary_answers_and_refusals_from_the_cache(budget):
+    """geom-boundary prints the invariants computed from the cycle, and
+    refuses with the same text and exit code, cold and warm."""
+    extra = [] if budget is None else ["--max-terms", str(budget)]
+    geom._cached_compactification.cache_clear()
+    for a, b, model, origin in INVARIANT_CASES:
+        with budget_context(budget):
+            want = invariants_from_form(a, b, model, origin)
+        geom._cached_compactification.cache_clear()
+        argv = [
+            "geom-boundary", "--a", str(a), "--b", str(b),
+            "--model", CLI_MODELS[model], "--origin", origin, *extra,
+        ]
+        cold = run_cli(argv)
+        assert run_cli(argv) == cold
+        if want[0] is ModelUnavailable:
+            assert cold == (1, "", f"error: ModelUnavailable: {want[1]}\n")
+        elif want[0] is BudgetExceeded:
+            assert cold == (3, "", f"budget exceeded: {want[1]}\n")
+        else:
+            types, anti, k2 = want
+            assert cold == (0, "\n".join([
+                f"model: {CLI_MODELS[model]}",
+                f"origin: {origin}",
+                "types: (" + ", ".join(map(str, types)) + ")",
+                f"anticanonical: {'yes' if anti else 'no'}",
+                f"K^2: {k2}",
+            ]) + "\n", "")
+
+
+def test_classify_reads_each_square_invariant_once_with_the_old_refusals():
+    """classify's invariants and verdict are those of the squares' types
+    computed from the form; the a, b >= 2 refusal comes before the size
+    refusal of the second pair."""
+    geom._cached_compactification.cache_clear()
+    for p1 in (Params(2, 3), Params(3, 2), Params(4, 4), Params(20, 3)):
+        for p2 in (Params(3, 2), Params(2, 8), Params(4, 4)):
+            want = tuple(
+                square_invariant(build_compactification(p, "SquareS")[1].ngon_type())
+                for p in (p1, p2)
+            )
+            for _ in range(2):
+                assert geom.square_invariants(p1, p2) == want
+            assert isomorphism_verdict(p1, p2) == (want[0] == want[1])
+    with limit(40):
+        with pytest.raises(ModelUnavailable, match="needs a, b >= 2 on both sides"):
+            geom.square_invariants(Params(2, 2), Params(1, 1000))
+        with pytest.raises(BudgetExceeded, match="classes of rank 1006 exceed"):
+            geom.square_invariants(Params(2, 1000), Params(1, 2))
+
+
+def test_weak_del_pezzo_reads_type_degree_and_flag():
+    for a in range(1, 7):
+        for b in range(1, 7):
+            for model in MODELS:
+                try:
+                    lattice, cycle = build_compactification(Params(a, b), model)
+                except ModelUnavailable:
+                    continue
+                inv = geom.boundary_invariants(Params(a, b), model)
+                assert inv.weak_del_pezzo() == is_weak_del_pezzo(lattice, cycle) == (
+                    canonical_degree(lattice) > 0
+                    and all(c.dot(DivisorClass(lattice, tuple(-x for x in lattice.k))) >= 0
+                            for c in cycle.curves)
+                )
+    lat = plane_lattice()
+    line = DivisorClass(lat, (1,))
+    not_anti = BoundaryCycle(lat, (line, line, DivisorClass(lat, (2,))))
+    with pytest.raises(NotAnticanonical):
+        geom.BoundaryInvariants(lat, not_anti).weak_del_pezzo()
+
+
+# -- the lattice primitives against plain loops --------------------------------
+
+
+def dot_by_loop(lattice, u, v):
+    if lattice.origin == PLANE:
+        s, head = u[0] * v[0], 1
+    else:
+        s, head = u[0] * v[1] + u[1] * v[0], 2
+    for i in range(head, lattice.rank):
+        s -= u[i] * v[i]
+    return s
+
+
+def anticanonical_by_loop(cycle):
+    total = [0] * cycle.lattice.rank
+    for c in cycle.curves:
+        for i, x in enumerate(c.coeffs):
+            total[i] += x
+    return tuple(total) == tuple(-x for x in cycle.lattice.k)
+
+
+coeff = st.integers(-(1 << 70), 1 << 70) | st.integers(-3, 3)
+
+
+@st.composite
+def lattices(draw):
+    origin = draw(st.sampled_from((PLANE, QUADRIC)))
+    rank = draw(st.integers(1 if origin == PLANE else 2, 9))
+    k = tuple(draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)))
+    return PicardLattice(origin, rank, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dot_matches_the_loop(data):
+    lattice = data.draw(lattices())
+    vec = st.lists(coeff, min_size=lattice.rank, max_size=lattice.rank).map(tuple)
+    u, v = data.draw(vec), data.draw(vec)
+    assert lattice.dot(u, v) == dot_by_loop(lattice, u, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_is_anticanonical_matches_the_loop(data):
+    lattice = data.draw(lattices())
+    vec = st.lists(st.integers(-3, 3), min_size=lattice.rank, max_size=lattice.rank)
+    curves = [DivisorClass(lattice, tuple(c)) for c in data.draw(st.lists(vec, max_size=5))]
+    if data.draw(st.booleans()):
+        # close the cycle up to -K, so that True comes up as well
+        rest = [-k for k in lattice.k]
+        for c in curves:
+            rest = [r - x for r, x in zip(rest, c.coeffs)]
+        curves.append(DivisorClass(lattice, tuple(rest)))
+    cycle = BoundaryCycle(lattice, tuple(curves))
+    assert is_anticanonical(cycle) == anticanonical_by_loop(cycle)
+
+
+def test_empty_cycle_is_anticanonical_only_when_k_vanishes():
+    for k in ((0, 0), (0, 1), (-2, -2)):
+        cycle = BoundaryCycle(PicardLattice(QUADRIC, 2, k), ())
+        assert is_anticanonical(cycle) == (k == (0, 0)) == anticanonical_by_loop(cycle)
+
+
+def test_lattice_equality_shortcuts_only_identity():
+    lat = plane_lattice().blow_up(3)
+    assert lat == lat
+    assert lat == PicardLattice(PLANE, 4, (-3, 1, 1, 1))
+    assert lat != PicardLattice(PLANE, 4, (-3, 1, 1, 0))
+    assert lat != PicardLattice(QUADRIC, 4, (-3, 1, 1, 1))
+    assert NgonType([0, True, -2.0]).ints == (0, 1, -2)

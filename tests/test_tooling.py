@@ -36,6 +36,10 @@ reaches.
 A request constructs two ``argparse.ArgumentParser`` objects, the top-level
 one and that of the subcommand argparse dispatches to, and adds only their
 arguments.
+
+A compactification's boundary invariants are computed once, beside the
+cached compactification, so a warm geometry request takes no intersection
+product.
 """
 import ast
 import json
@@ -455,6 +459,48 @@ def test_huge_geometry_is_refused_in_bounded_memory(argv):
     rank = int(argv[2]) + int(argv[4]) + 4
     err = f"budget exceeded: classes of rank {rank} exceed budget\n"
     assert _run_in_one_gib(argv) == (3, "", err)
+
+
+_GEOMETRY_DOTS = """
+import contextlib, io
+from clusteraut import cli, geom
+
+calls = 0
+real = geom.PicardLattice.dot
+
+def counted(self, *args):
+    global calls
+    calls += 1
+    return real(self, *args)
+
+geom.PicardLattice.dot = counted
+for _ in range(2):
+    calls = 0
+    for argv in (
+        ["verify", "--suite", "geometry"],
+        ["geom-boundary", "--a", "2", "--b", "3", "--model", "pentagon"],
+        ["classify", "--a", "2", "--b", "3", "--c", "3", "--d", "2"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    print(calls)
+"""
+
+
+def test_warm_geometry_takes_no_intersection_product():
+    """The n-gon type, the anticanonical flag and K^2 of a compactification
+    are computed once and cached beside it: run a second time in the same
+    process, the geometry suite, geom-boundary and classify call
+    ``PicardLattice.dot`` not once (each geometry suite made about 250
+    calls when the invariants were recomputed)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _GEOMETRY_DOTS],
+        capture_output=True, text=True, timeout=120, cwd=ROOT, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    cold, warm = map(int, proc.stdout.split())
+    assert cold > 0 and warm == 0
 
 
 def test_infinite_order_composes_no_map():
