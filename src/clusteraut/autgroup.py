@@ -13,7 +13,10 @@ from the fold of its word and check it on the generator's own images,
 which certifies the fold's m(i, j) rule on the generators' maps.
 ``factor_word`` reads an element's word from its normal form, with no table
 per pair: the dihedral part of each alternating word of at most five
-letters is a closed form in its length and first letter.
+letters is a closed form in its length and first letter.  Two words have
+equal surface maps exactly when they have equal folds (``_fold_pairs``), so
+``word_order`` proves a word's order and ``factor_from_fold`` reads its
+factorization with no map built.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .surface import (
     compose_word,
     equal,
     fold_word,
-    identity,
     sigma2,
     sigma3,
     swap,
@@ -389,32 +391,46 @@ def normal_word(x: GroupElement) -> list:
     return word
 
 
+def _fold_pairs(params: Params, word) -> tuple:
+    """The pairs (e, n) to which ``word`` sends y1..y4, each n taken into
+    1 .. period at the finite pairs, where y_n has that period.
+
+    ``compose_word`` makes each image t^e * y_n, so it is a function of
+    these pairs, and ``equal`` embeds both maps in one ring; the y_n are
+    pairwise distinct (over one period at the finite pairs).  So two words
+    have equal maps exactly when they have equal pairs, and a word maps to
+    the identity exactly when its pairs are those of the empty word.
+    """
+    exps, ns, _ = fold_word(params, word)
+    period = expected_period(params)
+    return exps, [(n - 1) % period + 1 for n in ns] if period else ns
+
+
 def word_order(params: Params, word, cap: int) -> int | None:
     """The order of the map f of ``word``, or None when it is infinite or
     above cap.
 
-    The order k is taken in the group and proven on the surface with the
-    normal-form word w of the element: w maps to f, w repeated k times maps
-    to the identity, and repeated k/q times it does not, for each prime q
-    dividing k.  Each map comes from ``compose_word``, four entries of the
-    exact table of y_n, so the proof checks the normal form that
+    The order k is taken in the group and proven on the fold with the
+    normal-form word w of the element (``_fold_pairs``, which stands for
+    ``equal`` of the maps): w folds as ``word`` does, w repeated k times
+    folds to the identity, and repeated k/q times it does not, for each
+    prime q dividing k.  So the proof checks the normal form that
     ``_element`` read from the word's fold, and the order that powers in
-    ``gmul`` gave, on exact maps.  A failed proof is a fault of the engine
-    and raises ``EngineError``.
+    ``gmul`` gave, with no map built.  A failed proof is a fault of the
+    engine and raises ``EngineError``.
     """
     x = from_word(structure_of(params), word)
     k = element_order(x)
     if k is None or k > cap:
         return None
-    f = compose_word(params, word)
-    w = tuple(normal_word(x))
-    one = identity(params)
+    w = normal_word(x)
+    one = _fold_pairs(params, [])
 
     def is_identity(j: int) -> bool:
-        return equal(compose_word(params, w * j), one)
+        return _fold_pairs(params, w * j) == one
 
     if (
-        equal(compose_word(params, w), f)
+        _fold_pairs(params, w) == _fold_pairs(params, word)
         and is_identity(k)
         and not any(is_identity(k // q) for q in _prime_factors(k))
     ):
@@ -572,6 +588,33 @@ def factor_word(x: GroupElement, steps: int) -> list | None:
         prefix.append(letter)
         x = from_word(x.structure, [letter] + normal_word(x))
     return prefix + _residue_word(x)
+
+
+def factor_from_fold(params: Params, word, steps: int) -> list | None:
+    """The word ``surface.factorize`` gives, with at most ``steps`` letters
+    in front of its residue word, for the map of ``word``, read from the
+    fold with no map built; or None when only the map can tell.
+
+    factorize reads the map's element at the point (``identify``) from the
+    same pairs (e, n) that ``from_word`` reads from the fold, wherever the
+    point reads each folded y_n back to its index (every n at the finite
+    pairs, |n| <= _REACH otherwise, see ``_reading``).  It then takes that
+    element's ``factor_word`` and accepts it when the word's map equals the
+    input map, which is when the two words have equal ``_fold_pairs``.
+    None when a folded index is not read at the point, when the element
+    needs more than ``steps`` letters, or when the folds differ: there
+    factorize goes down the degree descent.  h at a != b is refused by the
+    fold, as the surface refuses it.
+    """
+    pairs = _fold_pairs(params, word)
+    st, _, orbit = _reading(params)
+    read = set(orbit.values())
+    if not all(n in read for n in pairs[1]):
+        return None
+    answer = factor_word(from_word(st, word), steps)
+    if answer is None or _fold_pairs(params, answer) != pairs:
+        return None
+    return answer
 
 
 def enumerate_finite(structure: GroupStructure):

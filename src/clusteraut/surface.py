@@ -20,6 +20,7 @@ for y3, y4, y5, y6 (an index shift by 2).
 from __future__ import annotations
 
 import json
+from itertools import chain
 from math import gcd
 
 from . import _kernel as K
@@ -484,6 +485,62 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _check_rows(images: list, m: int) -> None:
+    """Raise the ParseError of the first malformed image or row, in the
+    order of the map: an image that is no list, a row that is not
+    [[e1, e2, e3, e4], vector] with integer entries (booleans are not
+    integers), a negative exponent, a vector whose length is neither 1 nor
+    m.  Subclasses of list and int pass."""
+    for rows in images:
+        if not isinstance(rows, list):
+            raise _obj_error("each image must be a list of terms")
+        for row in rows:
+            if (
+                not isinstance(row, list)
+                or len(row) != 2
+                or not isinstance(row[0], list)
+                or len(row[0]) != 4
+                or not all(_is_int(v) for v in row[0])
+                or not isinstance(row[1], list)
+                or not row[1]
+                or not all(_is_int(v) for v in row[1])
+            ):
+                raise _obj_error(f"bad term entry {row!r}")
+            if any(v < 0 for v in row[0]):
+                raise _obj_error(f"negative exponent in term entry {row!r}")
+            if len(row[1]) not in (1, m):
+                raise _obj_error(
+                    f"coefficient vector {row[1]!r} must have length 1 or {m}"
+                )
+
+
+def _plain_rows(images: list, m: int) -> bool:
+    """Whether ``_check_rows`` would pass ``images`` with no subclass in
+    them, checked a column at a time: the types and lengths of all images,
+    then of all rows, of all exponent lists and vectors, and the types and
+    least value of all their entries."""
+    if set(map(type, images)) != {list}:
+        return False
+    rows = list(chain.from_iterable(images))
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {2}):
+        return False
+    exps = [row[0] for row in rows]
+    vecs = [row[1] for row in rows]
+    if not (
+        set(map(type, exps)) <= {list}
+        and set(map(len, exps)) <= {4}
+        and set(map(type, vecs)) <= {list}
+        and set(map(len, vecs)) <= {1, m}
+    ):
+        return False
+    values = list(chain.from_iterable(exps))
+    return (
+        set(map(type, values)) <= {int}
+        and min(values, default=0) >= 0
+        and set(map(type, chain.from_iterable(vecs))) <= {int}
+    )
+
+
 def endo_from_obj(obj) -> EndoMap:
     """Rebuild a map from its plain-data form (inverse of endo_to_obj).
 
@@ -492,10 +549,12 @@ def endo_from_obj(obj) -> EndoMap:
     vectors mixed in are read as integer constants of that ring).  Raises
     ParseError on malformed input: a missing field, a value of the wrong
     type (booleans are not integers), a negative exponent or a vector of
-    any other length, and then a repeated exponent within one image.  Each
-    row is validated and turned into terms in one pass.  The images are put
-    in normal form; the relations are not checked here, so ``verified`` is
-    computed by ``is_endomorphism`` on first read.
+    any other length, and then a repeated exponent within one image.  The
+    rows are checked a column at a time (``_plain_rows``); only a map that
+    fails that check is read again row by row (``_check_rows``), which
+    names the first bad row.  The images are put in normal form; the
+    relations are not checked here, so ``verified`` is computed by
+    ``is_endomorphism`` on first read.
     """
     if not isinstance(obj, dict):
         raise _obj_error("expected an object")
@@ -511,38 +570,23 @@ def endo_from_obj(obj) -> EndoMap:
     if not isinstance(images_obj, list) or len(images_obj) != 4:
         raise _obj_error("images must be a list of four polynomials")
 
-    wide, duplicate, term_maps = False, None, []
+    if not _plain_rows(images_obj, m):
+        _check_rows(images_obj, m)
+    duplicate, term_maps = None, []
     for rows in images_obj:
-        if not isinstance(rows, list):
-            raise _obj_error("each image must be a list of terms")
-        seen, terms = set(), {}
-        for row in rows:
-            if (
-                not isinstance(row, list)
-                or len(row) != 2
-                or not isinstance(row[0], list)
-                or len(row[0]) != 4
-                or not all(_is_int(v) for v in row[0])
-                or not isinstance(row[1], list)
-                or not row[1]
-                or not all(_is_int(v) for v in row[1])
-            ):
-                raise _obj_error(f"bad term entry {row!r}")
-            exps, vec = tuple(row[0]), row[1]
-            if any(v < 0 for v in exps):
-                raise _obj_error(f"negative exponent in term entry {row!r}")
-            if len(vec) not in (1, m):
-                raise _obj_error(
-                    f"coefficient vector {vec!r} must have length 1 or {m}"
-                )
-            if exps in seen and duplicate is None:
-                duplicate = exps  # reported once every row has its shape
-            seen.add(exps)
-            wide = wide or len(vec) > 1
-            terms.update((exps + (k,), c) for k, c in enumerate(vec) if c)
-        term_maps.append(terms)
-    if duplicate is not None:
+        keys = [tuple(exps) for exps, _ in rows]
+        if duplicate is None and len(set(keys)) < len(keys):
+            seen: set = set()
+            duplicate = next(key for key in keys if key in seen or seen.add(key))
+        term_maps.append({
+            key + (k,): c
+            for key, (_, vec) in zip(keys, rows)
+            for k, c in enumerate(vec)
+            if c
+        })
+    if duplicate is not None:  # reported once every row has its shape
         raise _obj_error(f"duplicate exponent {duplicate}")
+    wide = any(len(vec) > 1 for rows in images_obj for _, vec in rows)
     ring = root_surrogate(m) if wide else ZZ
     cap = current_max_terms()
     images = tuple(

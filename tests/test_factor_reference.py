@@ -9,13 +9,17 @@ they were.  The words, error texts and orders of the new code must match
 theirs.  ``reference_factor_word`` is the group-side factorization as it
 was before its residue words were read from the normal form: a table of the
 first word of every such product, built with one ``from_word`` each.
+``reference_word_order`` proves the group's order on composed maps, and
+``reference_cmd_aut_factor`` answers a word by composing and factoring its
+map: the fold proofs that replace them must give the same orders and bytes
+wherever the maps can be built in time.
 """
 import random
 from functools import lru_cache
 
 import pytest
 
-from clusteraut import autgroup, cluster, surface
+from clusteraut import autgroup, cli, cluster, surface
 from clusteraut.cli import main
 from clusteraut.errors import EngineError, FactorizationFailed
 from clusteraut.poly import LaurentPoly, Params
@@ -32,6 +36,7 @@ from clusteraut.surface import (
     total_degree,
 )
 from clusteraut.textio import parse_word, print_word
+from test_bounded_time import Timeout, alarm, run_within
 
 
 # -- the earlier implementations -------------------------------------------
@@ -150,6 +155,52 @@ def reference_order_of(f: EndoMap, cap: int = 16) -> int | None:
     return None
 
 
+def reference_word_order(params: Params, word, cap: int) -> int | None:
+    """``word_order`` with the order proven on maps: the map of the
+    normal-form word w equals the word's map f, w repeated k times maps to
+    the identity, and repeated k/q times it does not, for each prime q
+    dividing k."""
+    x = autgroup.from_word(autgroup.structure_of(params), word)
+    k = autgroup.element_order(x)
+    if k is None or k > cap:
+        return None
+    f = compose_word(params, word)
+    w = tuple(autgroup.normal_word(x))
+    one = identity(params)
+
+    def is_identity(j: int) -> bool:
+        return equal(compose_word(params, w * j), one)
+
+    if (
+        equal(compose_word(params, w), f)
+        and is_identity(k)
+        and not any(is_identity(k // q) for q in autgroup._prime_factors(k))
+    ):
+        return k
+    raise EngineError(f"the order {k} of {x} does not hold on the surface")
+
+
+def reference_cmd_aut_factor(args):
+    """``aut-factor`` of a word answered on maps: the word's map is composed
+    and factored, and ``recomposes`` composes the answer's map and compares
+    it with the word's."""
+    params = cli._params(args)
+    f = compose_word(params, parse_word(" ".join(args.word)), args.paper_literal)
+    atoms = factorize(f, max_word=args.max_word)
+    recomposes = equal(compose_word(params, atoms), f)
+    payload = {
+        "a": params.a,
+        "b": params.b,
+        "word": print_word(atoms),
+        "atoms": [list(atom) for atom in atoms],
+        "recomposes": recomposes,
+    }
+    text = "\n".join(
+        [f"word: {print_word(atoms)}", f"recomposes: {cli._yes(recomposes)}"]
+    )
+    return 0, payload, text
+
+
 # -- helpers -----------------------------------------------------------------
 
 
@@ -171,6 +222,30 @@ def random_word(rng, params, length):
 
 
 SMALL = [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2), (4, 1), (1, 4)]
+
+
+def grid_words():
+    """(a, b, word) at every pair with a, b <= 4: six seeded words of one to
+    four atoms from s2, s3, r, r^-2, sp(3), m(i, j) and h, with h at a != b
+    too, where the surface refuses it."""
+    rng = random.Random(26)
+    for a in range(1, 5):
+        for b in range(1, 5):
+            for _ in range(6):
+                atoms = ["s2", "s3", "r", "r^-2", "sp(3)", "h", f"m({rng.randrange(a)},{rng.randrange(b)})"]
+                yield a, b, " ".join(rng.choice(atoms) for _ in range(rng.randint(1, 4)))
+
+
+def order_within(seconds, word_order, params, atoms, cap):
+    """("order", k) or ("error", class name, message) of ``word_order``, or
+    None when it did not end within ``seconds``."""
+    try:
+        with alarm(seconds):
+            return ("order", word_order(params, atoms, cap))
+    except Timeout:
+        return None
+    except EngineError as exc:
+        return ("error", type(exc).__name__, str(exc))
 
 
 # -- factorization -------------------------------------------------------------
@@ -356,6 +431,63 @@ def test_long_dihedral_parts_descend_like_the_degrees():
             assert all(u < v for u, v in zip(degrees, degrees[1:])), (a, b, first, degrees)
 
 
+# -- word factorization from the fold -----------------------------------------
+
+
+def test_word_factors_from_the_fold_match_the_map_path(monkeypatch):
+    """On the grid, in text and JSON and under --max-word 16 and 3, a word's
+    aut-factor prints the bytes and exit code of composing and factoring its
+    map, wherever that ends within 2 s.  Only a refusal (exit 3) or a
+    timeout of the map path may become an answer; h at a != b keeps the
+    surface's "swap undefined" error."""
+    real = cli._COMMANDS
+    on_maps = tuple(
+        row[:2] + (reference_cmd_aut_factor,) + row[3:] if row[0] == "aut-factor" else row
+        for row in real
+    )
+    compared = 0
+    for a, b, text in grid_words():
+        timed_out = False  # every variant composes the same map first
+        for fmt in ("text", "json"):
+            for max_word in ("16", "3"):
+                argv = ["aut-factor", "--a", str(a), "--b", str(b), "--format", fmt,
+                        "--max-word", max_word, *text.split()]
+                got = run_within(10, argv)
+                assert got is not None, argv
+                if timed_out:
+                    continue
+                monkeypatch.setattr(cli, "_COMMANDS", on_maps)
+                want = run_within(2, argv)
+                monkeypatch.setattr(cli, "_COMMANDS", real)
+                timed_out = want is None
+                if want is None:
+                    continue
+                if want[0] == 3 and got[0] == 0:
+                    continue
+                assert got == want, argv
+                compared += 1
+                if a != b and "h" in text.split():
+                    assert got[0] == 1 and "swap undefined for" in got[2], argv
+    assert compared >= 300
+
+
+def test_the_fold_answers_only_where_the_point_reads_the_indices():
+    """At (2,2) the point reads y_n for |n| <= 64.  r^-30 s2 folds y1..y4 to
+    y_63 .. y_60 and is answered from the fold, as the CLI does within 2 s;
+    r^-31 s2 folds y1 to y_65, where factorize could not read the map's
+    element at the point, so the fold gives no answer and the map must."""
+    params = Params(2, 2)
+    st = autgroup.structure_of(params)
+    for k, readable in ((-30, True), (-31, False)):
+        word = [("r", k), ("s2",)]
+        want = autgroup.factor_word(autgroup.from_word(st, word), 60)
+        assert want is not None
+        assert autgroup.factor_from_fold(params, word, 60) == (want if readable else None)
+    argv = ["aut-factor", "--a", "2", "--b", "2", "--max-word", "60", "r^-30", "s2"]
+    code, out, err = run_within(2, argv)
+    assert (code, err) == (0, "") and out.endswith("\nrecomposes: yes\n")
+
+
 # -- orders --------------------------------------------------------------------
 
 
@@ -396,7 +528,7 @@ def test_orders_above_the_cap_and_infinite_orders():
 
 
 def test_a_wrong_group_order_is_refused_by_the_proof(monkeypatch):
-    """The surface proof refuses any k that is not the exact order (a
+    """The fold proof refuses any k that is not the exact order (a
     multiple of it, or a proper divisor) with ``EngineError``: the order and
     the element both come from the word fold, so a failed proof is a fault
     of the engine, not a case for a second answer."""
@@ -420,7 +552,7 @@ def test_a_wrong_group_order_is_refused_by_the_proof(monkeypatch):
 
 def test_a_misread_element_is_refused_by_the_proof(monkeypatch):
     """An element that is not the word's own, with its true order, fails the
-    first step of the proof (its normal-form word maps to another map), and
+    first step of the proof (its normal-form word folds to other pairs), and
     ``word_order`` raises instead of composing powers of the map."""
     params = Params(2, 1)
     st = autgroup.structure_of(params)
@@ -432,6 +564,36 @@ def test_a_misread_element_is_refused_by_the_proof(monkeypatch):
     with pytest.raises(EngineError) as exc:
         autgroup.word_order(params, atoms, 16)
     assert str(exc.value) == f"the order 2 of {wrong} does not hold on the surface"
+
+
+def test_the_fold_proof_of_orders_matches_the_map_proof():
+    """On the grid, under the caps 3 and 16, the fold proof gives the order
+    or error that proving it on composed maps gives, wherever those maps are
+    built within 2 s and the term budget; the fold proof ends within 10 s on
+    every word."""
+    compared = 0
+    for a, b, text in grid_words():
+        params, atoms = Params(a, b), parse_word(text)
+        for cap in (3, 16):
+            got = order_within(10, autgroup.word_order, params, atoms, cap)
+            assert got is not None, (a, b, text, cap)
+            want = order_within(2, reference_word_order, params, atoms, cap)
+            if want is None or want[1] == "BudgetExceeded":
+                continue
+            assert got == want, (a, b, text, cap)
+            compared += 1
+    assert compared >= 150
+
+
+@pytest.mark.parametrize("a, b", [(2, 2), (5, 1), (1, 4), (4, 3), (3, 4)])
+def test_far_finite_orders_answer_at_once(a, b):
+    """r^-41 s3 and r^-2 s3 are reflections, of order 2 at every pair.  On
+    maps their proof needed y_n at far indices: r^-41 s3 ran past 20 s at
+    (2,2), and r^-2 s3 exited 3 after 1.9 s at (4,3) and took 16.9 s at
+    (3,4).  On the fold each answers within a 2 s alarm."""
+    for word in ("r^-41 s3", "r^-2 s3"):
+        argv = ["aut-order", "--a", str(a), "--b", str(b), *word.split()]
+        assert run_within(2, argv) == (0, "2\n", ""), argv
 
 
 # -- compositions of the cases that were too slow to run -----------------------

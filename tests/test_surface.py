@@ -463,6 +463,154 @@ def test_any_json_value_maps_or_raises_parse_error(obj):
     assert isinstance(f, EndoMap)
 
 
+def _read_row_by_row(obj) -> EndoMap:
+    """``endo_from_obj`` as it was before the column check: every row is
+    validated and turned into terms in one pass, and a repeated exponent is
+    reported once every row has its shape."""
+    from clusteraut import _kernel as K
+    from clusteraut.budget import current_max_terms
+    from clusteraut.rings import root_surrogate
+
+    error = surface._obj_error
+    if not isinstance(obj, dict):
+        raise error("expected an object")
+    for field in ("a", "b", "images"):
+        if field not in obj:
+            raise error(f"missing field {field!r}")
+    a, b = obj["a"], obj["b"]
+    if not (surface._is_int(a) and surface._is_int(b)) or a < 1 or b < 1:
+        raise error("a and b must be positive integers")
+    params = Params(a, b)
+    m = params.m
+    images_obj = obj["images"]
+    if not isinstance(images_obj, list) or len(images_obj) != 4:
+        raise error("images must be a list of four polynomials")
+    wide, duplicate, term_maps = False, None, []
+    for rows in images_obj:
+        if not isinstance(rows, list):
+            raise error("each image must be a list of terms")
+        seen, terms = set(), {}
+        for row in rows:
+            if (
+                not isinstance(row, list)
+                or len(row) != 2
+                or not isinstance(row[0], list)
+                or len(row[0]) != 4
+                or not all(surface._is_int(v) for v in row[0])
+                or not isinstance(row[1], list)
+                or not row[1]
+                or not all(surface._is_int(v) for v in row[1])
+            ):
+                raise error(f"bad term entry {row!r}")
+            exps, vec = tuple(row[0]), row[1]
+            if any(v < 0 for v in exps):
+                raise error(f"negative exponent in term entry {row!r}")
+            if len(vec) not in (1, m):
+                raise error(f"coefficient vector {vec!r} must have length 1 or {m}")
+            if exps in seen and duplicate is None:
+                duplicate = exps
+            seen.add(exps)
+            wide = wide or len(vec) > 1
+            terms.update((exps + (k,), c) for k, c in enumerate(vec) if c)
+        term_maps.append(terms)
+    if duplicate is not None:
+        raise error(f"duplicate exponent {duplicate}")
+    ring = root_surrogate(m) if wide else ZZ
+    images = tuple(
+        LaurentPoly(ring, K.normal_form_terms(tp, a, b, ring.m, current_max_terms()))
+        for tp in term_maps
+    )
+    return EndoMap(params, images)
+
+
+class _Int(int):
+    """An int subclass, which a map may hold as an exponent or coefficient."""
+
+
+class _List(list):
+    """A list subclass, which a map may hold as a row."""
+
+
+#: the faults put into valid maps; "subclass" puts in no fault
+_FAULTS = (
+    "value", "negative", "empty", "length", "short", "not a list", "image",
+    "duplicate then bad", "subclass",
+)
+
+
+@st.composite
+def _mutated_maps(draw):
+    """(the plain-data form of a word's map with one to three faults put in,
+    whether every fault was an int or list subclass)."""
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    params = Params(a, b)
+    m = params.m
+    letters = st.sampled_from([("s2",), ("s3",), ("m", 1, 1), ("m", 0, 1)])
+    images = endo_to_obj(compose_word(params, draw(st.lists(letters, max_size=3))))["images"]
+    faults = draw(st.lists(st.sampled_from(_FAULTS), min_size=1, max_size=3))
+    for fault in faults:
+        i = draw(st.integers(0, 3))
+        rows = images[i]
+        if not isinstance(rows, list) or not rows:
+            continue
+        j = draw(st.integers(0, len(rows) - 1))
+        row = rows[j]
+        if not (isinstance(row, list) and len(row) == 2
+                and isinstance(row[0], list) and isinstance(row[1], list)):
+            continue
+        exps, vec = row
+        if fault == "value":
+            entries = draw(st.sampled_from([exps, vec])) if exps and vec else exps or vec
+            if entries:
+                entries[draw(st.integers(0, len(entries) - 1))] = draw(
+                    st.sampled_from([True, False, 1.5, "1", None])
+                )
+        elif fault == "negative" and len(exps) == 4:
+            exps[draw(st.integers(0, 3))] = -draw(st.integers(1, 3))
+        elif fault == "empty":
+            row[1] = []
+        elif fault == "length":
+            row[1] = [1] * draw(st.integers(2, m + 2).filter(lambda n: n != m))
+        elif fault == "short":
+            rows[j] = row[:1]
+        elif fault == "not a list":
+            rows[j] = draw(st.sampled_from([5, "row", None, (exps, vec), {}]))
+        elif fault == "image":
+            images[i] = draw(st.sampled_from([None, {}, "image", 3]))
+        elif fault == "duplicate then bad":
+            rows.append([list(exps), [1]])
+            if i < 3 and isinstance(images[3], list) and images[3]:
+                images[3][0] = [[0, 0, 0, -1], [1]]
+        elif all(type(v) is int for v in exps + vec):
+            rows[j] = _List([[_Int(v) for v in exps], [_Int(v) for v in vec]])
+    return {"a": a, "b": b, "images": images}, set(faults) == {"subclass"}
+
+
+def _read(loader, obj):
+    """("map", plain-data form) or ("error", message) of ``loader(obj)``."""
+    try:
+        return ("map", endo_to_obj(loader(obj)))
+    except ParseError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_mutated_maps())
+def test_the_column_check_reads_maps_as_the_row_loop_does(case):
+    """The column check of ``endo_from_obj`` and the row-by-row reading it
+    replaced give the same map, or the same ParseError text with the same
+    precedence, on valid maps with wrong types (bool, float, str, None),
+    negative exponents, empty vectors and vectors of a length other than 1
+    and m, short and non-list rows, non-list images, a duplicate exponent
+    followed by a bad row in a later image, and int and list subclasses,
+    which are accepted."""
+    obj, subclasses_only = case
+    got = _read(endo_from_obj, obj)
+    assert got == _read(_read_row_by_row, obj)
+    if subclasses_only:
+        assert got[0] == "map"
+
+
 def test_serialization_verify_flag():
     params = Params(2, 2)
     obj = endo_to_obj(sigma2(params))

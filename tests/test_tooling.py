@@ -17,8 +17,10 @@ only the geometry commands load.
 The group's action tables are read from word folds and checked on the
 generators' images, the check h o s2 o h = s3 at a = b renames images, and
 every group element is read from a word fold, so the group commands and
-``aut-order`` compose no surface map, and a word of infinite order none at
-all; a fresh interpreter counts the calls.
+``aut-order`` compose no surface map; a fresh interpreter counts the calls.
+Once a pair's group is built, a word's ``aut-order`` and ``aut-factor`` read
+no y_n and compare no maps, and ``aut-factor --map-json`` composes only its
+answer's map.
 The surface variables those maps are built from come from the Laurent walk,
 so building them substitutes nothing and rewrites nothing into normal form,
 and sigma2 and sigma3 are built in closed form, with no kernel product.
@@ -231,9 +233,8 @@ def test_group_commands_compose_no_maps():
     generators' images, the check h o s2 o h = s3 at a = b renames sigma2's
     images, and the group law is the fold itself: group-structure and
     group-mul compose no surface map at (7,3), nor at (3,3) with h in the
-    words.  aut-order proves its order with four table entries per map, so
-    it composes none at (2,2) or (2,1); a fallback to powers of the map
-    would show."""
+    words.  aut-order proves its order on the word's fold, so it composes
+    none at (2,2) or (2,1); a fallback to powers of the map would show."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _COMPOSES],
@@ -243,11 +244,12 @@ def test_group_commands_compose_no_maps():
     assert proc.stdout.splitlines() == ["[]"] * 4
 
 
-#: a fresh interpreter that counts the calls of the kernel functions
-#: ``names`` through every module that holds one, the kernel's private
-#: aliases included, and then runs ``body``
+#: a fresh interpreter that counts the calls of the functions ``names``
+#: through every module that holds one, the kernel's private aliases
+#: included, and then runs ``body``; a name without a module is a kernel
+#: function, and "surface.equal" names ``clusteraut.surface.equal``
 _KERNEL_CALLS = """
-import contextlib, io, sys
+import contextlib, importlib, io, sys
 from clusteraut import _kernel, cli
 
 calls = dict.fromkeys({names!r}, 0)
@@ -259,7 +261,8 @@ def counting(name, real):
     return counted
 
 for name in list(calls):
-    real = getattr(_kernel, name)
+    module, _, attr = name.rpartition(".")
+    real = getattr(importlib.import_module("clusteraut." + (module or "_kernel")), attr)
     wrapped = counting(name, real)
     for mod in [m for key, m in sys.modules.items() if key.startswith("clusteraut")]:
         for key, value in list(vars(mod).items()):
@@ -519,6 +522,41 @@ with contextlib.redirect_stdout(out):
 print(code, json.loads(out.getvalue())["order"], sum(calls.values()))
 """
     assert _count_kernel_calls(_KERNEL_NAMES, body) == ["0 None 0"]
+
+
+def test_warm_word_requests_build_no_map():
+    """A word's aut-order is proven on its fold and its aut-factor is read
+    from it, so once the pair's group and point reading are built, the same
+    requests read no y_n (``cluster.surface_var``), compare no maps
+    (``surface.equal``) and call no kernel function, at far indices too.  A
+    warm aut-factor --map-json composes one map, its answer's, for the one
+    exact check in ``factorize``; the command compares nothing more."""
+    body = """
+import json
+words = (
+    ["aut-order", "--a", "2", "--b", "2", "r^-41", "s3"],
+    ["aut-order", "--a", "3", "--b", "2", "s2", "m(1,1)"],
+    ["aut-factor", "--a", "3", "--b", "2", "s2", "s3", "m(1,1)"],
+    ["aut-factor", "--a", "2", "--b", "2", "--format", "json", "r^-2", "s3", "h"],
+)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["aut-compose", "--a", "3", "--b", "2", "--format", "json", "s2", "s3", "m(1,1)"]) == 0
+mapped = out.getvalue()
+for _ in range(2):
+    for argv in words + (["aut-factor", "--a", "3", "--b", "2", "--map-json", "-"],):
+        calls.update(dict.fromkeys(calls, 0))
+        sys.stdin = io.StringIO(mapped)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        print(json.dumps(calls))
+"""
+    names = ("cluster.surface_var", "surface.equal", "surface.compose_word") + _KERNEL_NAMES
+    lines = [json.loads(line) for line in _count_kernel_calls(names, body)]
+    warm_words, warm_map = lines[5:9], lines[9]
+    for calls in warm_words:
+        assert calls == dict.fromkeys(names, 0)
+    assert warm_map["surface.compose_word"] == 1 and warm_map["surface.equal"] == 1
 
 
 def test_huge_indices_are_refused_before_the_walk():
