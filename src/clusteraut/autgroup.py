@@ -24,6 +24,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import (
+    BudgetExceeded,
     ConjugationNotScaling,
     EngineError,
     NotFiniteType,
@@ -39,9 +40,11 @@ from .surface import (
     compose_word,
     equal,
     fold_word,
+    order_of,
     sigma2,
     sigma3,
     swap,
+    takes_letters,
 )
 
 def _case_name(a: int, b: int) -> str:
@@ -406,7 +409,9 @@ def _fold_pairs(params: Params, word) -> tuple:
     return exps, [(n - 1) % period + 1 for n in ns] if period else ns
 
 
-def word_order(params: Params, word, cap: int) -> int | None:
+def word_order(
+    params: Params, word, cap: int, paper_literal: bool = False
+) -> int | None:
     """The order of the map f of ``word``, or None when it is infinite or
     above cap.
 
@@ -417,8 +422,14 @@ def word_order(params: Params, word, cap: int) -> int | None:
     prime q dividing k.  So the proof checks the normal form that
     ``_element`` read from the word's fold, and the order that powers in
     ``gmul`` gave, with no map built.  A failed proof is a fault of the
-    engine and raises ``EngineError``.
+    engine and raises ``EngineError``.  The word is folded before it is
+    read in the group, so h at a != b is refused as the surface refuses
+    it.  ``paper_literal`` words at a != b have no group element
+    (``takes_letters``): their map is composed and its powers compared.
     """
+    if takes_letters(params, paper_literal):
+        return order_of(compose_word(params, word, True), cap=cap)
+    pairs = _fold_pairs(params, word)
     x = from_word(structure_of(params), word)
     k = element_order(x)
     if k is None or k > cap:
@@ -430,7 +441,7 @@ def word_order(params: Params, word, cap: int) -> int | None:
         return _fold_pairs(params, w * j) == one
 
     if (
-        _fold_pairs(params, w) == _fold_pairs(params, word)
+        _fold_pairs(params, w) == pairs
         and is_identity(k)
         and not any(is_identity(k // q) for q in _prime_factors(k))
     ):
@@ -590,7 +601,9 @@ def factor_word(x: GroupElement, steps: int) -> list | None:
     return prefix + _residue_word(x)
 
 
-def factor_from_fold(params: Params, word, steps: int) -> list | None:
+def factor_from_fold(
+    params: Params, word, steps: int, paper_literal: bool = False
+) -> list | None:
     """The word ``surface.factorize`` gives, with at most ``steps`` letters
     in front of its residue word, for the map of ``word``, read from the
     fold with no map built; or None when only the map can tell.
@@ -603,11 +616,20 @@ def factor_from_fold(params: Params, word, steps: int) -> list | None:
     input map, which is when the two words have equal ``_fold_pairs``.
     None when a folded index is not read at the point, when the element
     needs more than ``steps`` letters, or when the folds differ: there
-    factorize goes down the degree descent.  h at a != b is refused by the
-    fold, as the surface refuses it.
+    factorize goes down the degree descent.  None too for ``paper_literal``
+    words at a != b, which have no group element (``takes_letters``), and
+    when the budget refuses the group structure, whose sigma2, sigma3 and
+    swap are built as maps: the map path then meets the budget where it
+    always did, composing the word or in factorize's own ``identify``.  h
+    at a != b is refused by the fold, as the surface refuses it.
     """
+    if takes_letters(params, paper_literal):
+        return None
     pairs = _fold_pairs(params, word)
-    st, _, orbit = _reading(params)
+    try:
+        st, _, orbit = _reading(params)
+    except BudgetExceeded:
+        return None
     read = set(orbit.values())
     if not all(n in read for n in pairs[1]):
         return None

@@ -151,8 +151,9 @@ def cmd_aut_factor(args):
             )
     elif args.word:
         word = parse_word(" ".join(args.word))
-        if not (args.paper_literal and params.a != params.b):
-            atoms = autgroup.factor_from_fold(params, word, args.max_word)
+        atoms = autgroup.factor_from_fold(
+            params, word, args.max_word, args.paper_literal
+        )
         if atoms is None:
             f = surf.compose_word(params, word, args.paper_literal)
     else:
@@ -173,12 +174,7 @@ def cmd_aut_factor(args):
 def cmd_aut_order(args):
     params = _params(args)
     atoms = parse_word(" ".join(args.word))
-    if args.paper_literal and params.a != params.b:  # no group element
-        f = surf.compose_word(params, atoms, True)
-        order = surf.order_of(f, cap=args.max_word)
-    else:
-        surf.fold_word(params, atoms)  # refuses h at a != b as the surface does
-        order = autgroup.word_order(params, atoms, args.max_word)
+    order = autgroup.word_order(params, atoms, args.max_word, args.paper_literal)
     payload = {
         "a": params.a,
         "b": params.b,

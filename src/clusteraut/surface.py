@@ -20,7 +20,6 @@ for y3, y4, y5, y6 (an index shift by 2).
 from __future__ import annotations
 
 import json
-from itertools import chain
 from math import gcd
 
 from . import _kernel as K
@@ -335,6 +334,14 @@ def fold_word(params: Params, word) -> tuple:
     return [e % m for e in exps], ns, wide
 
 
+def takes_letters(params: Params, paper_literal: bool) -> bool:
+    """Whether words read with ``paper_literal`` at params are composed one
+    letter at a time: at a != b the literal sigma3 is no automorphism, so
+    such a word has no fold, no group element and no reduction of its
+    powers by the order of r."""
+    return paper_literal and params.a != params.b
+
+
 def compose_word(
     params: Params, word, paper_literal: bool = False
 ) -> EndoMap:
@@ -347,7 +354,7 @@ def compose_word(
     automorphism, go through ``compose_letters``; at a = b the literal
     sigma3 is the corrected one, so they are folded like any word.
     """
-    if paper_literal and params.a != params.b:
+    if takes_letters(params, paper_literal):
         return compose_letters(params, word, True)
     from .cluster import surface_var  # cluster imports this module
 
@@ -376,7 +383,7 @@ def compose_letters(
 
     period = expected_period(params)
     order = None
-    if period and not (paper_literal and params.a != params.b):
+    if period and not takes_letters(params, paper_literal):
         order = period // gcd(period, 2)  # r shifts indices by 2
     f = identity(params)
     for atom in word:
@@ -485,13 +492,34 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_rows(images: list, m: int) -> None:
-    """Raise the ParseError of the first malformed image or row, in the
-    order of the map: an image that is no list, a row that is not
-    [[e1, e2, e3, e4], vector] with integer entries (booleans are not
-    integers), a negative exponent, a vector whose length is neither 1 nor
-    m.  Subclasses of list and int pass."""
-    for rows in images:
+def endo_from_obj(obj) -> EndoMap:
+    """Rebuild a map from its plain-data form (inverse of endo_to_obj).
+
+    Vector lengths fix the coefficient ring: all length 1 means integers,
+    length m = lcm(a, b) >= 2 means the degree-m surrogate ring (length-1
+    vectors mixed in are read as integer constants of that ring).  Raises
+    ParseError on malformed input: a missing field, a value of the wrong
+    type (booleans are not integers), a negative exponent or a vector of
+    any other length, and then a repeated exponent within one image.  The
+    images are put in normal form; the relations are not checked here, so
+    ``verified`` is computed by ``is_endomorphism`` on first read.
+    """
+    if not isinstance(obj, dict):
+        raise _obj_error("expected an object")
+    for field in ("a", "b", "images"):
+        if field not in obj:
+            raise _obj_error(f"missing field {field!r}")
+    a, b = obj["a"], obj["b"]
+    if not (_is_int(a) and _is_int(b)) or a < 1 or b < 1:
+        raise _obj_error("a and b must be positive integers")
+    params = Params(a, b)
+    m = params.m
+    images_obj = obj["images"]
+    if not isinstance(images_obj, list) or len(images_obj) != 4:
+        raise _obj_error("images must be a list of four polynomials")
+
+    duplicate, term_maps = None, []
+    for rows in images_obj:
         if not isinstance(rows, list):
             raise _obj_error("each image must be a list of terms")
         for row in rows:
@@ -512,68 +540,6 @@ def _check_rows(images: list, m: int) -> None:
                 raise _obj_error(
                     f"coefficient vector {row[1]!r} must have length 1 or {m}"
                 )
-
-
-def _plain_rows(images: list, m: int) -> bool:
-    """Whether ``_check_rows`` would pass ``images`` with no subclass in
-    them, checked a column at a time: the types and lengths of all images,
-    then of all rows, of all exponent lists and vectors, and the types and
-    least value of all their entries."""
-    if set(map(type, images)) != {list}:
-        return False
-    rows = list(chain.from_iterable(images))
-    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {2}):
-        return False
-    exps = [row[0] for row in rows]
-    vecs = [row[1] for row in rows]
-    if not (
-        set(map(type, exps)) <= {list}
-        and set(map(len, exps)) <= {4}
-        and set(map(type, vecs)) <= {list}
-        and set(map(len, vecs)) <= {1, m}
-    ):
-        return False
-    values = list(chain.from_iterable(exps))
-    return (
-        set(map(type, values)) <= {int}
-        and min(values, default=0) >= 0
-        and set(map(type, chain.from_iterable(vecs))) <= {int}
-    )
-
-
-def endo_from_obj(obj) -> EndoMap:
-    """Rebuild a map from its plain-data form (inverse of endo_to_obj).
-
-    Vector lengths fix the coefficient ring: all length 1 means integers,
-    length m = lcm(a, b) >= 2 means the degree-m surrogate ring (length-1
-    vectors mixed in are read as integer constants of that ring).  Raises
-    ParseError on malformed input: a missing field, a value of the wrong
-    type (booleans are not integers), a negative exponent or a vector of
-    any other length, and then a repeated exponent within one image.  The
-    rows are checked a column at a time (``_plain_rows``); only a map that
-    fails that check is read again row by row (``_check_rows``), which
-    names the first bad row.  The images are put in normal form; the
-    relations are not checked here, so ``verified`` is computed by
-    ``is_endomorphism`` on first read.
-    """
-    if not isinstance(obj, dict):
-        raise _obj_error("expected an object")
-    for field in ("a", "b", "images"):
-        if field not in obj:
-            raise _obj_error(f"missing field {field!r}")
-    a, b = obj["a"], obj["b"]
-    if not (_is_int(a) and _is_int(b)) or a < 1 or b < 1:
-        raise _obj_error("a and b must be positive integers")
-    params = Params(a, b)
-    m = params.m
-    images_obj = obj["images"]
-    if not isinstance(images_obj, list) or len(images_obj) != 4:
-        raise _obj_error("images must be a list of four polynomials")
-
-    if not _plain_rows(images_obj, m):
-        _check_rows(images_obj, m)
-    duplicate, term_maps = None, []
-    for rows in images_obj:
         keys = [tuple(exps) for exps, _ in rows]
         if duplicate is None and len(set(keys)) < len(keys):
             seen: set = set()

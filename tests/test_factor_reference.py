@@ -159,7 +159,9 @@ def reference_word_order(params: Params, word, cap: int) -> int | None:
     """``word_order`` with the order proven on maps: the map of the
     normal-form word w equals the word's map f, w repeated k times maps to
     the identity, and repeated k/q times it does not, for each prime q
-    dividing k."""
+    dividing k.  The word is folded first, as ``aut-order`` did before
+    calling it, so h at a != b is refused as the surface refuses it."""
+    surface.fold_word(params, word)
     x = autgroup.from_word(autgroup.structure_of(params), word)
     k = autgroup.element_order(x)
     if k is None or k > cap:
@@ -469,6 +471,48 @@ def test_word_factors_from_the_fold_match_the_map_path(monkeypatch):
                 if a != b and "h" in text.split():
                     assert got[0] == 1 and "swap undefined for" in got[2], argv
     assert compared >= 300
+
+
+def test_word_factors_under_small_budgets_refuse_as_the_map_path(monkeypatch):
+    """Under --max-terms 1, 2 and 40 a word's aut-factor on the grid prints
+    the bytes and exit code of the map path, refusals (exit 3) included,
+    or answers where the map path is refused.  The group structure builds
+    sigma2, sigma3 and swap as maps, so where the budget refuses it the
+    fold gives no answer and the map path refuses as it always did."""
+    real = cli._COMMANDS
+    on_maps = tuple(
+        row[:2] + (reference_cmd_aut_factor,) + row[3:] if row[0] == "aut-factor" else row
+        for row in real
+    )
+    refused = answered = 0
+    for a, b, text in grid_words():
+        for budget in ("1", "2", "40"):
+            for fmt in ("text", "json"):
+                argv = ["aut-factor", "--a", str(a), "--b", str(b), "--max-terms", budget,
+                        "--format", fmt, *text.split()]
+                got = run_within(10, argv)
+                monkeypatch.setattr(cli, "_COMMANDS", on_maps)
+                want = run_within(2, argv)
+                monkeypatch.setattr(cli, "_COMMANDS", real)
+                assert got is not None and want is not None, argv
+                if want[0] == 3 and got[0] == 0:
+                    answered += 1
+                    continue
+                assert got == want, argv
+                refused += got[0] == 3
+    assert refused >= 250 and answered >= 30
+
+
+def test_literal_words_at_unequal_params_have_no_fold_answer():
+    """--paper-literal words at a != b have no group element: the fold gives
+    no factorization, and their order is that of the composed map."""
+    for (a, b), word, cap in (((1, 2), "s2", 16), ((1, 2), "s3", 2), ((2, 1), "s2 s3", 2)):
+        params, atoms = Params(a, b), parse_word(word)
+        assert autgroup.factor_from_fold(params, atoms, 16, paper_literal=True) is None
+        f = compose_word(params, atoms, True)
+        assert autgroup.word_order(params, atoms, cap, paper_literal=True) == (
+            reference_order_of(f, cap)
+        )
 
 
 def test_the_fold_answers_only_where_the_point_reads_the_indices():

@@ -464,9 +464,9 @@ def test_any_json_value_maps_or_raises_parse_error(obj):
 
 
 def _read_row_by_row(obj) -> EndoMap:
-    """``endo_from_obj`` as it was before the column check: every row is
-    validated and turned into terms in one pass, and a repeated exponent is
-    reported once every row has its shape."""
+    """``endo_from_obj`` as it was before its terms were built one image at
+    a time: every row is validated and turned into terms in one pass, and a
+    repeated exponent is reported once every row has its shape."""
     from clusteraut import _kernel as K
     from clusteraut.budget import current_max_terms
     from clusteraut.rings import root_surrogate
@@ -596,14 +596,15 @@ def _read(loader, obj):
 
 @settings(max_examples=300, deadline=None)
 @given(case=_mutated_maps())
-def test_the_column_check_reads_maps_as_the_row_loop_does(case):
-    """The column check of ``endo_from_obj`` and the row-by-row reading it
-    replaced give the same map, or the same ParseError text with the same
-    precedence, on valid maps with wrong types (bool, float, str, None),
-    negative exponents, empty vectors and vectors of a length other than 1
-    and m, short and non-list rows, non-list images, a duplicate exponent
-    followed by a bad row in a later image, and int and list subclasses,
-    which are accepted."""
+def test_map_reading_matches_the_row_by_row_loader(case):
+    """``endo_from_obj``, which checks the rows of each image and then
+    builds its terms with one dict comprehension, and the loader that did
+    both row by row give the same map, or the same ParseError text with the
+    same precedence, on valid maps with wrong types (bool, float, str,
+    None), negative exponents, empty vectors and vectors of a length other
+    than 1 and m, short and non-list rows, non-list images, a duplicate
+    exponent followed by a bad row in a later image, and int and list
+    subclasses, which are accepted."""
     obj, subclasses_only = case
     got = _read(endo_from_obj, obj)
     assert got == _read(_read_row_by_row, obj)
