@@ -13,9 +13,10 @@ Only ``verify`` imports its suites (``clusteraut.suites``), and only the
 geometry commands and those suites import ``clusteraut.geom``, so a process
 that answers other commands never loads either.
 
-The parser is built on every call, but of the 11 subcommands only the one
-argparse dispatches to gets a real ``ArgumentParser``: the others stay
-placeholders that hold their help line (``build_parser``).
+The top-level parser is built at the first call and kept for the life of
+the process, with a placeholder for each of the 11 subcommands that holds
+its help line; each call builds a real ``ArgumentParser`` only for the
+subcommand argparse dispatches to (``build_parser``).
 """
 from __future__ import annotations
 
@@ -451,40 +452,52 @@ _COMMANDS = (
 
 
 class _Deferred:
-    """A subparser that argparse may dispatch to.  Its ``_COMMANDS`` row and
-    the keyword arguments of ``add_parser`` (``prog`` among them) are kept,
-    and the real parser, with its help action, arguments and handler, is
-    built when argparse calls ``parse_known_args(args, namespace)``, the one
-    method ``_SubParsersAction`` calls on a subparser."""
+    """A subparser that argparse may dispatch to.  Only the command's name
+    and the keyword arguments of ``add_parser`` (``prog`` among them) are
+    kept.  The real parser, with its help action, arguments and handler, is
+    built from the command's ``_COMMANDS`` row, looked up when argparse calls
+    ``parse_known_args(args, namespace)``, the one method
+    ``_SubParsersAction`` calls on a subparser; so a handler replaced in
+    ``_COMMANDS`` runs on the next call although the placeholder is kept."""
 
     def __init__(self, command, **kwargs):
         self._command = command
         self._kwargs = kwargs
 
     def parse_known_args(self, args, namespace):
-        _, _, func, add_args = self._command
+        _, _, func, add_args = next(row for row in _COMMANDS if row[0] == self._command)
         parser = argparse.ArgumentParser(**self._kwargs)
         add_args(parser)
         parser.set_defaults(func=func)
         return parser.parse_known_args(args, namespace)
 
 
+#: the top-level parser, built by the first ``build_parser`` call
+_PARSER = None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser.  Every subcommand is listed with its help
-    line, since the top-level help, usage and invalid-choice errors name them
-    all, but each is a ``_Deferred`` placeholder: only the one argparse
-    dispatches to is built, so what a call prints and returns is what the
-    tree of real subparsers gives.  That relies on argparse calling no
-    method of a subparser but ``parse_known_args``, as Python 3.11 does;
-    other versions are untested."""
-    ap = argparse.ArgumentParser(
-        prog="clusteraut",
-        description="Exact engine for rank-2 cluster surface automorphisms.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Deferred)
-    for command in _COMMANDS:
-        sub.add_parser(command[0], help=command[1], command=command)
-    return ap
+    """The command-line parser, built at the first call and then shared.
+    Every subcommand is listed with its help line, since the top-level
+    help, usage and invalid-choice errors name them all, but each is a
+    ``_Deferred`` placeholder: only the one argparse dispatches to is built,
+    on every call, so what a call prints and returns is what the tree of
+    real subparsers gives.  That relies on argparse calling no method of a
+    subparser but ``parse_known_args``, as Python 3.11 does; other versions
+    are untested.  Parsing leaves the shared parser as it was: argparse
+    writes only to the namespace of the call.  Two threads that make the
+    first call together may each build a parser; either one serves."""
+    global _PARSER
+    if _PARSER is None:
+        ap = argparse.ArgumentParser(
+            prog="clusteraut",
+            description="Exact engine for rank-2 cluster surface automorphisms.",
+        )
+        sub = ap.add_subparsers(dest="command", required=True, parser_class=_Deferred)
+        for name, summary, *_ in _COMMANDS:
+            sub.add_parser(name, help=summary, command=name)
+        _PARSER = ap
+    return _PARSER
 
 
 def _run(args) -> tuple[int, str]:

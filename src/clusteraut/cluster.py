@@ -252,15 +252,27 @@ def _size_floor(params: Params, n: int, cap: int) -> int:
     (ab - 4) * s(m) + s(m) - s(m - 2), which is >= 0 by induction from
     s(2) = -1 <= s(4) = b + 1 and s(3) = 1 <= s(5) = ab + a - 1, with s(m) >= 0
     for m >= 3.  Between neighbours s can fall: 7, 5 at m = 5, 6 at (4, 1).
+
+    At ab = 4 the same sum reads s(m + 2) - s(m) = s(m) - s(m - 2), so s is
+    arithmetic within each parity class and grows only linearly; there the
+    first index past ``cap`` is computed from the class's first two values
+    instead of walked to, which would take time linear in ``cap``.
     """
     a, b = params.a, params.b
+    first = 4 - n % 2  # the first index of n's parity at or past 3
     p1, p2, d1, d2 = 0, -1, 1, 0  # d(2), d(3)
-    for m in range(3, n):  # d(m) -> d(m + 1)
-        if (n - m) % 2 == 0 and d1 + d2 >= cap:
-            break
+    for m in range(3, n + 1):  # (d1, d2) = d(m)
+        if (n - m) % 2 == 0:
+            if m == n or d1 + d2 >= cap:
+                return d1 + d2 + 1
+            if m == first:
+                s0 = d1 + d2
+            elif a * b == 4:  # m = first + 2, both below cap and before n
+                step = d1 + d2 - s0
+                k = min(-((s0 - cap) // step), (n - first) // 2)
+                return s0 + k * step + 1
         c = a if m % 2 == 0 else b
         p1, p2, d1, d2 = d1, d2, c * d1 - p1, c * d2 - p2
-    return d1 + d2 + 1
 
 
 def refuse_by_size(params: Params, n: int) -> None:

@@ -13,7 +13,8 @@ The families in the grid are those already bounded:
 - refusals held per term budget: a repeated refused walk step or surface
   variable exits 3 again at once;
 - the Laurent size floor: a y_n whose denominator vector gives more terms
-  than the budget is refused before its walk, at huge |n| too;
+  than the budget is refused before its walk, at huge |n| too, and at the
+  affine pairs under a budget of 10^8 as fast as under the default;
 - the binomial-row refusal of sigma2 and sigma3 and the rank refusal of
   the geometry commands, at pairs in the hundreds of thousands;
 - ``aut-order`` of words of infinite order and of finite-order words with
@@ -111,7 +112,12 @@ FAMILIES = {
         ["cluster", "--a", str(a), "--b", str(b), "--n", n]
         for a, b in ((3, 3), (5, 1), (7, 3))
         for n in ("40", "-30", HUGE, "-" + HUGE)
-    ] + [["cluster", "--a", "2", "--b", "2", "--n", n] for n in (HUGE, "-" + HUGE)],
+    ] + [["cluster", "--a", "2", "--b", "2", "--n", n] for n in (HUGE, "-" + HUGE)]
+    + [
+        ["cluster", "--a", str(a), "--b", str(b), "--n", n, "--max-terms", "100000000"]
+        for a, b in ((2, 2), (4, 1), (1, 4))
+        for n in (HUGE, "-" + HUGE)
+    ],
     "binomial rows and ranks": [
         ["group-structure", "--a", "300000", "--b", "1"],
         ["group-structure", "--a", "1", "--b", "300000"],
@@ -154,6 +160,10 @@ def test_bounded_refusals_and_answers_are_pinned():
         (FAMILIES["held refusals"][3], 3, "", "budget exceeded: product work 100*367 exceeds budget\n"),
         (["cluster", "--a", "3", "--b", "3", "--n", "40"], 3, "",
          "budget exceeded: y40 has at least 3010350 terms, budget 1000000\n"),
+        (["cluster", "--a", "2", "--b", "2", "--n", HUGE, "--max-terms", "100000000"], 3, "",
+         f"budget exceeded: y{HUGE} has at least 100000002 terms, budget 100000000\n"),
+        (["cluster", "--a", "1", "--b", "4", "--n", "-" + HUGE, "--max-terms", "100000000"], 3, "",
+         f"budget exceeded: y-{HUGE} has at least 100000002 terms, budget 100000000\n"),
         (["group-structure", "--a", "300000", "--b", "1"], 3, "",
          "budget exceeded: binomial row 300000 exceeds budget\n"),
         (["geom-boundary", "--a", "1000000", "--b", "1", "--model", "barx"], 3, "",

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON payload stability, text output."""
 import argparse
+import copy
 import importlib.util
 import io
 import json
@@ -1048,9 +1049,9 @@ def test_lazy_parser_prints_what_the_full_tree_prints(monkeypatch, tmp_path):
 
 
 def test_main_builds_only_the_dispatched_parser(monkeypatch):
-    """Besides the top-level parser, main(argv) constructs an
-    ``ArgumentParser`` only for the subcommand argparse runs, and none when
-    argparse stops before a subcommand."""
+    """The first call builds the top-level parser, which is kept.  After
+    it, main(argv) constructs an ``ArgumentParser`` only for the subcommand
+    argparse runs, and none when argparse stops before a subcommand."""
     built = 0
     real = argparse.ArgumentParser.__init__
 
@@ -1060,13 +1061,119 @@ def test_main_builds_only_the_dispatched_parser(monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.setattr(cli, "_PARSER", None)
     cases = [
-        (["cluster", "--a", "2", "--b", "2", "--n", "5"], 2),
-        (["group-mul", "--a", "2", "--b", "2", "cluster", "--help"], 2),  # cluster only a value
-        (["--help"], 1),
-        (["bogus"], 1),
+        (["cluster", "--a", "2", "--b", "2", "--n", "5"], 2),  # the top level is built
+        (["cluster", "--a", "2", "--b", "2", "--n", "5"], 1),
+        (["group-mul", "--a", "2", "--b", "2", "cluster", "--help"], 1),  # cluster only a value
+        (["--help"], 0),
+        (["bogus"], 0),
     ]
     for argv, parsers in cases:
         built = 0
         outcome(argv)
         assert built == parsers, argv
+
+
+def test_a_handler_replaced_in_the_command_table_runs(monkeypatch):
+    """A placeholder reads its ``_COMMANDS`` row when argparse dispatches to
+    it, so a handler replaced after the shared parser exists runs on the
+    next call, and the real one again once the table is restored."""
+    argv = ["period", "--a", "1", "--b", "2"]
+    assert outcome(argv) == (0, "6\n", "")
+    shared = cli.build_parser()
+    ran = []
+
+    def fake(args):
+        ran.append(args.command)
+        return 0, {}, "patched"
+
+    real = cli._COMMANDS
+    monkeypatch.setattr(
+        cli, "_COMMANDS", tuple(row[:2] + (fake,) + row[3:] if row[0] == "period" else row for row in real)
+    )
+    assert outcome(argv) == (0, "patched\n", "")
+    assert ran == ["period"]
+    monkeypatch.setattr(cli, "_COMMANDS", real)
+    assert outcome(argv) == (0, "6\n", "")
+    assert ran == ["period"] and cli.build_parser() is shared
+
+
+def parser_state(ap):
+    """What a parse could change on the parser ``ap``: its attributes, those
+    of its actions and those of the placeholders in its subparser map, with
+    every list and dict among them copied."""
+
+    def attributes(obj):
+        return {k: copy.copy(v) if isinstance(v, (list, dict)) else v for k, v in vars(obj).items()}
+
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    placeholders = {name: attributes(p) for name, p in sub._name_parser_map.items()}
+    return attributes(ap), [attributes(a) for a in ap._actions], placeholders
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(monkeypatch, tmp_path):
+    """Through the shared parser, the help texts, argparse's usage errors and
+    the first 200 requests of each perfbench workload (in both formats), run
+    forward and then in reverse order, give what a parser built for that
+    call alone gives, and no attribute of the shared parser, of its actions
+    or of its placeholders changes or grows."""
+    shared = cli.build_parser()
+    before = parser_state(shared)
+    helps = [["--help"], ["-h"], *([name, "--help"] for name in COMMANDS), ["-h", "bogus"]]
+    argvs = helps + USAGE_ERRORS
+    saves = {}
+    for workload in ("cluster-walk", "aut-roundtrip", "group-geom"):
+        for req in benchmark_requests(workload, 1, 200):
+            argv = [arg.replace("{work}", str(tmp_path)) for arg in req["argv"]]
+            for fmt in ("json", "text"):  # the JSON pass saves the maps that --map-json reads
+                argvs.append([*argv[:-1], fmt])
+                if req["save"] and fmt == "json":
+                    saves[len(argvs) - 1] = tmp_path / req["save"]
+    for order in (range(len(argvs)), reversed(range(len(argvs)))):
+        for i in order:
+            monkeypatch.setattr(cli, "_PARSER", None)  # a parser built for this call
+            fresh = outcome(argvs[i])
+            monkeypatch.setattr(cli, "_PARSER", shared)
+            assert outcome(argvs[i]) == fresh, argvs[i]
+            assert parser_state(shared) == before, argvs[i]
+            if i in saves and fresh[0] == 0:
+                saves[i].write_text(fresh[1], encoding="utf-8")
+    assert cli.build_parser() is shared
+
+
+def test_threads_parse_through_the_shared_parser_alone(monkeypatch):
+    """Eight threads parsing distinct argv through the shared parser, each
+    many times over, get the namespaces a serial parse gets, also when they
+    start before the parser is built and so may race to build it."""
+    argvs = [
+        req["argv"]
+        for workload in ("cluster-walk", "aut-roundtrip", "group-geom")
+        for req in benchmark_requests(workload, 1, 200)
+    ]
+    argvs = [list(argv) for argv in dict.fromkeys(map(tuple, argvs))][:64]
+    assert len(argvs) == 64
+    serial = [vars(cli.build_parser().parse_args(argv)) for argv in argvs]
+    monkeypatch.setattr(cli, "_PARSER", None)
+    errors = []
+
+    def worker(k):
+        try:
+            for _ in range(40):
+                for i in range(k, len(argvs), 8):
+                    assert vars(cli.build_parser().parse_args(argvs[i])) == serial[i], argvs[i]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

@@ -605,3 +605,33 @@ def test_size_floor_is_at_most_the_term_count():
                 assert floor <= value.num_terms, (params, n)
                 checked += n >= 3
     assert checked == 297
+
+
+def _walked_floor(params, n, cap):
+    """``cluster._size_floor`` computed by walking the denominator vectors
+    one index at a time until d1 + d2 of n's parity passes ``cap``: the
+    definition, in time linear in ``cap`` at the affine pairs."""
+    a, b = params.a, params.b
+    p1, p2, d1, d2 = 0, -1, 1, 0  # d(2), d(3)
+    for m in range(3, n):  # d(m) -> d(m + 1)
+        if (n - m) % 2 == 0 and d1 + d2 >= cap:
+            break
+        c = a if m % 2 == 0 else b
+        p1, p2, d1, d2 = d1, d2, c * d1 - p1, c * d2 - p2
+    return d1 + d2 + 1
+
+
+def test_size_floor_matches_the_walked_floor():
+    """The closed form that ``_size_floor`` uses at the affine pairs (2,2),
+    (4,1) and (1,4), and its walk at the wild pairs, give the walked floor
+    at every index n <= 400 under the caps 1, 2, 40, 10^3, 10^6 and 10^7,
+    so ``cluster`` refuses the same requests with the same text.  Below
+    index 400 the affine floors stay under 10^6; the two far indices, one
+    of each parity, are where those caps are passed before n."""
+    caps = (1, 2, 40, 10**3, 10**6, 10**7)
+    far = (10**20, 10**20 + 1)
+    for a, b in ((2, 2), (4, 1), (1, 4), (3, 3), (5, 1), (2, 3)):
+        params = Params(a, b)
+        for n in (*range(3, 401), *far):
+            for cap in caps[:5] if n in far else caps:
+                assert cluster._size_floor(params, n, cap) == _walked_floor(params, n, cap), (a, b, n, cap)
